@@ -1,10 +1,12 @@
 """Two-qubit entanglement measures and the transfer-time maximization scan.
 
-Concurrence follows the standard two-qubit construction: with
-``R = rho (y@y) rho* (y@y)``, C is ``max(0, l1 - l2 - l3 - l4)`` over the
-decreasing square roots of R's eigenvalues, computed here through the
-Hermitian product ``sqrt(rho) (y@y) rho* (y@y) sqrt(rho)`` for numerical
-stability.  Entanglement of formation is the binary entropy of
+Concurrence follows Wootters: with ``rho = A A^dagger`` from its
+eigendecomposition, the decreasing ``l_i`` are the singular values of
+``A^T (y@y) A`` (the square roots of the eigenvalues of
+``rho (y@y) rho* (y@y)``), and C is ``max(0, l1 - l2 - l3 - l4)``.
+Singular values keep the structurally zero ``l_i`` at rounding level,
+where square roots of eigenvalues would lift them to ~1e-8.
+Entanglement of formation is the binary entropy of
 ``(1 + sqrt(1 - C^2))/2``, base 2, so values live in [0, 1].
 """
 
@@ -16,37 +18,26 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+import scipy.sparse as sp
+from scipy.sparse.linalg import expm_multiply
 
 from .chain import ChainSpec, build_coupling_graph, single_excitation_matrix
 from .lindblad import (
-    ATOL_DEFAULT,
     N_SAMPLES_DEFAULT,
-    RTOL_DEFAULT,
     NoiseSpec,
     SectorState,
     Trajectory,
-    _sector_generator,
     default_window_s,
     initial_transfer_state,
 )
 from .qops import assert_density, partial_trace, pauli
 
 _YY = np.kron(pauli("y"), pauli("y"))
-# eigenvalues this far below zero are treated as rounding noise; trajectory
-# states may dip to -1e-7 at the integrator tolerance, and every state the
-# scan feeds in must be processable
+# eigenvalues this far below zero are treated as rounding noise; RK45
+# trajectory states may dip to -1e-7 at the integrator tolerance
 _CLAMP_TOL = 1e-7
 # golden-section refinement tolerance in dimensionless kappa*t
 TAU_REFINE_KT = 1e-4
-
-
-def _psd_sqrt(rho: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(rho)
-    if w.min() < -_CLAMP_TOL * max(1.0, w.max()):
-        raise ValueError(f"matrix eigenvalue {w.min():.3e} too negative to clamp")
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
 
 
 def concurrence(rho: np.ndarray) -> float:
@@ -55,29 +46,44 @@ def concurrence(rho: np.ndarray) -> float:
     if rho.shape != (4, 4):
         raise ValueError("concurrence is defined for two-qubit states")
     assert_density(rho, eig_tol=_CLAMP_TOL)
-    root = _psd_sqrt((rho + rho.conj().T) / 2)
-    herm = root @ _YY @ rho.conj() @ _YY @ root
-    lam = np.linalg.eigvalsh((herm + herm.conj().T) / 2)
-    if lam.min() < -_CLAMP_TOL * max(1.0, lam.max()):
-        raise ValueError(f"spectrum of the concurrence product dips to {lam.min():.3e}")
-    lam = np.sqrt(np.clip(lam, 0.0, None))[::-1]
-    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+    w, v = np.linalg.eigh((rho + rho.conj().T) / 2)
+    a = v * np.sqrt(np.clip(w, 0.0, None))
+    lam = np.linalg.svd(a.T @ _YY @ a, compute_uv=False)
+    return float(max(0.0, lam[0] - lam[1:].sum()))
 
 
-def binary_entropy(p: float) -> float:
-    if p <= 0.0 or p >= 1.0:
-        return 0.0
-    return -p * math.log2(p) - (1 - p) * math.log2(1 - p)
-
-
-def eof_from_concurrence(c: float) -> float:
-    c = min(max(c, 0.0), 1.0)
-    return binary_entropy((1 + math.sqrt(1 - c * c)) / 2)
+def eof_from_concurrence(c):
+    """E_F of a concurrence, elementwise over arrays."""
+    c = np.clip(np.asarray(c, dtype=float), 0.0, 1.0)
+    p = (1 + np.sqrt(1 - c * c)) / 2
+    q = 1 - p
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = np.where(q > 0, -p * np.log2(p) - q * np.log2(q), 0.0)
+    return float(e) if e.ndim == 0 else e
 
 
 def eof(rho: np.ndarray) -> float:
     """Entanglement of formation of a two-qubit state, in [0, 1]."""
     return eof_from_concurrence(concurrence(rho))
+
+
+def _pair_states(vacuum, trace, pop0, pop_last, coh0, coh_last, b0l) -> np.ndarray:
+    """Register-pair states, shape (..., 4, 4), from the sector entries they read.
+
+    `trace` is tr B, `pop0`/`pop_last` and `b0l` are B[0,0], B[n-1,n-1]
+    and B[0,n-1], `coh0`/`coh_last` the matching vacuum coherences.
+    """
+    pair = np.zeros(np.shape(b0l) + (4, 4), dtype=complex)
+    pair[..., 0, 0] = vacuum + np.real(trace - pop0 - pop_last)
+    pair[..., 1, 1] = np.real(pop_last)
+    pair[..., 2, 2] = np.real(pop0)
+    pair[..., 1, 0] = coh_last
+    pair[..., 0, 1] = np.conj(coh_last)
+    pair[..., 2, 0] = coh0
+    pair[..., 0, 2] = np.conj(coh0)
+    pair[..., 2, 1] = b0l
+    pair[..., 1, 2] = np.conj(b0l)
+    return pair
 
 
 def pair_state_from_sector(state: SectorState) -> np.ndarray:
@@ -86,21 +92,9 @@ def pair_state_from_sector(state: SectorState) -> np.ndarray:
     Basis order is |register0, register_end>: 00, 01, 10, 11.  States in
     the 0+1 excitation span have no |11> weight.
     """
-    n = state.n_sites
-    last = n - 1
-    pair = np.zeros((4, 4), dtype=complex)
-    chain_pop = float(np.trace(state.block11).real
-                      - state.block11[0, 0].real - state.block11[last, last].real)
-    pair[0, 0] = state.block00 + chain_pop
-    pair[1, 1] = state.block11[last, last].real
-    pair[2, 2] = state.block11[0, 0].real
-    pair[1, 0] = state.block01[last]
-    pair[0, 1] = np.conj(state.block01[last])
-    pair[2, 0] = state.block01[0]
-    pair[0, 2] = np.conj(state.block01[0])
-    pair[2, 1] = state.block11[0, last]
-    pair[1, 2] = np.conj(state.block11[0, last])
-    return pair
+    b, last = state.block11, state.n_sites - 1
+    return _pair_states(state.block00, np.trace(b), b[0, 0], b[last, last],
+                        state.block01[0], state.block01[last], b[0, last])
 
 
 def register_pair_state(traj: Trajectory, spec: ChainSpec | None = None) -> list:
@@ -168,68 +162,128 @@ def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
     return x, f(x)
 
 
+class SectorPropagator:
+    """Exact propagator of the 0+1-excitation blocks of one arm.
+
+    Per-site dephasing at rate Gamma leaves the vacuum population
+    constant and damps the vacuum-excitation coherences in closed form,
+    ``exp(-2 Gamma t) exp(-i h t) block01``, evaluated from one ``eigh``
+    of the hopping matrix ``h``.  The one-excitation block ``B`` follows
+    the Haken-Strobl equation ``dB/dt = -i[h, B] - 4 Gamma (B - diag B)``
+    and is carried by the action of the exponential of its sparse
+    n^2 x n^2 Liouvillian (``expm_multiply``, Al-Mohy & Higham 2011).
+    """
+
+    def __init__(self, spec: ChainSpec, noise: NoiseSpec):
+        h1 = single_excitation_matrix(build_coupling_graph(spec))
+        n = h1.shape[0]
+        self.gamma = gamma = noise.rate
+        self.energies, self.modes = np.linalg.eigh(h1)
+        h = sp.csr_matrix(h1)
+        eye = sp.identity(n, format="csr")
+        damping = np.full((n, n), -4.0 * gamma)
+        np.fill_diagonal(damping, 0.0)
+        # row-major vec: vec(h B) = (h x I) vec(B), vec(B h) = (I x h^T) vec(B)
+        self.liouvillian = (-1j * (sp.kron(h, eye) - sp.kron(eye, h.T))
+                            + sp.diags(damping.ravel())).tocsc()
+
+    def coherences(self, block01: np.ndarray, times) -> np.ndarray:
+        """`block01` evolved to each of `times`; shape (len(times), n)."""
+        t = np.asarray(times, dtype=float)[:, None]
+        amp = self.modes.conj().T @ block01
+        return (np.exp(-(1j * self.energies + 2.0 * self.gamma) * t) * amp) @ self.modes.T
+
+    def advance(self, state: SectorState, t: float) -> SectorState:
+        """`state` evolved by `t` seconds."""
+        n = state.n_sites
+        block11 = expm_multiply(self.liouvillian * t, state.block11.ravel())
+        return SectorState(state.block00, self.coherences(state.block01, [t])[0],
+                           block11.reshape(n, n))
+
+
+def _coarse_pass(prop: SectorPropagator, state0: SectorState, window: float,
+                 n_samples: int) -> tuple:
+    """E_F of the register pair on a uniform grid over [0, window].
+
+    With grid step dt and stride K = isqrt(n_samples - 1) + 1, sample
+    iK + j reads r^T exp(L j dt) exp(L iK dt) vec(B0) for four probe rows
+    r (tr B, B[0,0], B[last,last], B[0,last]).  One ``expm_multiply``
+    carries vec(B0) over the long strides iK dt, a second carries the
+    probes over the short ones j dt.  Every pair state is checked as a
+    density matrix; E_F comes from the concurrence 2|B[0,last]|, exact
+    for pair states without |11> weight.
+
+    Returns (times, E_F, K, B at the long strides iK dt).
+    """
+    n = state0.n_sites
+    last = n - 1
+    times = np.linspace(0.0, window, n_samples)
+    dt = times[1]
+    k = math.isqrt(n_samples - 1) + 1
+    n_long = max((n_samples - 1) // k + 1, 2)   # expm_multiply needs two points
+    cols = expm_multiply(prop.liouvillian, state0.block11.ravel(), start=0.0,
+                         stop=(n_long - 1) * k * dt, num=n_long, endpoint=True)
+    probes = np.zeros((n * n, 4))
+    probes[np.arange(n) * (n + 1), 0] = 1.0
+    probes[0, 1] = 1.0
+    probes[last * (n + 1), 2] = 1.0
+    probes[last, 3] = 1.0
+    rows = expm_multiply(prop.liouvillian.T, probes, start=0.0,
+                         stop=(k - 1) * dt, num=k, endpoint=True)
+    trace, pop0, pop_last, b0l = (
+        np.einsum("jap,ia->ijp", rows, cols).reshape(-1, 4)[:n_samples].T)
+    coh = prop.coherences(state0.block01, times)
+    pairs = _pair_states(state0.block00, trace, pop0, pop_last,
+                         coh[:, 0], coh[:, last], b0l)
+    assert_density(pairs, eig_tol=_CLAMP_TOL)
+    return times, eof_from_concurrence(2.0 * np.abs(b0l)), k, cols.reshape(-1, n, n)
+
+
 def max_entanglement_scan(
     spec: ChainSpec,
     noise: NoiseSpec,
     t_end: float | None = None,
     n_samples: int = N_SAMPLES_DEFAULT,
     register_state: str = "plus",
-    rtol: float = RTOL_DEFAULT,
-    atol: float = ATOL_DEFAULT,
 ) -> EmResult:
     """Scan E_F over transfer time and refine the maximum.
 
-    A coarse pass samples the window (doubling it once if the maximum
-    lands in the final 5% of samples); a golden-section search on a
-    re-integrated dense solution then locates tau* to TAU_REFINE_KT in
-    kappa*t.
+    A coarse pass evaluates `n_samples` equally spaced times exactly
+    (doubling the window once if the maximum lands in the final 5% of
+    samples); a golden-section search on exactly propagated states, read
+    through the general concurrence, then locates tau* to TAU_REFINE_KT
+    in kappa*t.
     """
-    graph = build_coupling_graph(spec)
-    h1 = single_excitation_matrix(graph)
+    if n_samples < 2:
+        raise ValueError(f"n_samples must be at least 2, got {n_samples}")
+    if t_end is not None and not t_end > 0:
+        raise ValueError(f"t_end must be positive, got {t_end}")
     kappa = spec.kappa_angular
+    prop = SectorPropagator(spec, noise)
     state0 = initial_transfer_state(spec, register_state, form="sector")
-    h_red, mask = _sector_generator(h1.astype(complex), noise.rate)
-    dim = h_red.shape[0]
-
-    def rhs(_t, y):
-        red = y.reshape(dim, dim)
-        d = -1j * (h_red @ red - red @ h_red)
-        if mask is not None:
-            d += mask * red
-        return d.ravel()
-
-    y0 = state0.to_reduced_matrix().ravel()
-
-    def coarse(window: float):
-        times = np.linspace(0.0, window, n_samples)
-        sol = solve_ivp(rhs, (0.0, window), y0, t_eval=times, method="RK45",
-                        rtol=rtol, atol=atol)
-        efs = np.array([
-            eof(pair_state_from_sector(SectorState.from_reduced_matrix(
-                sol.y[:, k].reshape(dim, dim))))
-            for k in range(sol.y.shape[1])
-        ])
-        return times, efs
 
     window = default_window_s(spec) if t_end is None else t_end
-    times, efs = coarse(window)
+    times, efs, stride, blocks = _coarse_pass(prop, state0, window, n_samples)
     i_max = int(np.argmax(efs))
     extended = False
     if t_end is None and i_max >= int(0.95 * (n_samples - 1)):
         window *= 2.0
-        times, efs = coarse(window)
+        times, efs, stride, blocks = _coarse_pass(prop, state0, window, n_samples)
         i_max = int(np.argmax(efs))
         extended = True
     interior = 0 < i_max < n_samples - 1
 
-    lo = times[max(i_max - 1, 0)]
-    hi = times[min(i_max + 1, n_samples - 1)]
-    fine = solve_ivp(rhs, (0.0, hi), y0, method="RK45",
-                     rtol=rtol, atol=atol, dense_output=True)
+    k_lo = max(i_max - 1, 0)
+    lo, hi = times[k_lo], times[min(i_max + 1, n_samples - 1)]
+    # restart from the last long stride at or before lo
+    col = k_lo // stride
+    t_col = times[col * stride]
+    at_col = SectorState(state0.block00, prop.coherences(state0.block01, [t_col])[0],
+                         blocks[col])
+    at_lo = prop.advance(at_col, lo - t_col)
 
     def ef_at(t: float) -> float:
-        red = fine.sol(t).reshape(dim, dim)
-        return eof(pair_state_from_sector(SectorState.from_reduced_matrix(red)))
+        return eof(pair_state_from_sector(prop.advance(at_lo, t - lo)))
 
     tau_star, e_star = _golden_max(ef_at, lo, hi, TAU_REFINE_KT / kappa)
     if efs[i_max] >= e_star:   # never report worse than the grid

@@ -149,18 +149,21 @@ def assert_density(
     """Validate the density-matrix invariants.
 
     Hermitian to `herm_tol`, unit trace to `trace_tol`, smallest
-    eigenvalue above ``-eig_tol``.
+    eigenvalue above ``-eig_tol``.  A stack of shape ``(..., d, d)`` is
+    validated matrix by matrix.
     """
     rho = np.asarray(rho)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+    if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
         raise ValueError("density matrix must be square")
-    n_qubits(rho.shape[0])
-    if np.abs(rho - rho.conj().T).max() > herm_tol:
+    n_qubits(rho.shape[-1])
+    adj = np.swapaxes(rho, -1, -2).conj()
+    if np.abs(rho - adj).max() > herm_tol:
         raise ValueError("density matrix is not Hermitian")
-    tr = np.trace(rho)
-    if abs(tr - 1.0) > trace_tol:
-        raise ValueError(f"density matrix trace {tr} deviates from 1")
-    w = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
+    tr = np.ravel(np.trace(rho, axis1=-2, axis2=-1))
+    bad = np.abs(tr - 1.0) > trace_tol
+    if bad.any():
+        raise ValueError(f"density matrix trace {tr[bad][0]} deviates from 1")
+    w = np.linalg.eigvalsh((rho + adj) / 2)
     if w.min() < -eig_tol:
         raise ValueError(f"density matrix has negative eigenvalue {w.min():.3e}")
 

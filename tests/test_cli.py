@@ -137,6 +137,15 @@ def test_unknown_config_key_exits_2(tmp_path):
     assert code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("flags", [
+    ["--samples", "0"], ["--samples", "1"], ["--t-end-kt", "-5"],
+])
+def test_degenerate_scan_grid_exits_2(tmp_path, capsys, flags):
+    code = run_cli(tmp_path, "scan", "--m", "3", *flags)
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("spinstar-error code=2 kind=config")
+
+
 def test_flag_overrides_config_file(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("m = 3\nt2_ms = 1\n")

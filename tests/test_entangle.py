@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from spinstar.chain import ChainSpec
+from spinstar.chain import ChainSpec, DisorderSpec
 from spinstar.entangle import (
     EmResult,
+    SectorPropagator,
     concurrence,
     eof,
     eof_from_concurrence,
@@ -15,8 +16,14 @@ from spinstar.entangle import (
     pair_state_from_sector,
     register_pair_state,
 )
-from spinstar.lindblad import NoiseSpec, evolve_chain
-from spinstar.qops import ket2dm, pauli, tensor
+from spinstar.experiments import distributed_pair
+from spinstar.lindblad import (
+    NoiseSpec,
+    default_window_s,
+    evolve_chain,
+    initial_transfer_state,
+)
+from spinstar.qops import ket2dm, partial_trace, pauli, tensor
 
 
 def bell_psi_minus():
@@ -214,3 +221,71 @@ def test_em_export_roundtrip(tmp_path):
     doc = _json.loads(json_path.read_text())
     assert doc["e_m"] == result.e_m
     assert doc["spec"] == {"m": 2}
+
+
+def test_concurrence_identity_on_random_sector_states():
+    # a pair state without |11> weight has C = 2|rho_{01,10}| exactly
+    rng = np.random.default_rng(11)
+    for k in range(240):
+        rank = 1 + k % 3
+        g = rng.normal(size=(3, rank)) + 1j * rng.normal(size=(3, rank))
+        rho = np.zeros((4, 4), dtype=complex)
+        rho[:3, :3] = g @ g.conj().T
+        rho /= np.trace(rho).real
+        assert abs(2 * abs(rho[1, 2]) - concurrence(rho)) < 1e-9
+
+
+ORACLE_SPECS = [
+    ChainSpec(m_chain=m, lost_sites=frozenset(lost))
+    for m in (1, 2, 3, 4) for lost in ((), (1,))
+] + [ChainSpec(m_chain=3, disorder=DisorderSpec(variance_nm2=0.25, seed=5))]
+
+
+@pytest.mark.parametrize("t2", [math.inf, 1e-3])
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda s: f"m{s.m_chain}"
+                         + "".join(f"-lost{i}" for i in sorted(s.lost_sites))
+                         + ("-disorder" if s.disorder else ""))
+def test_scan_curve_matches_full_space_oracle(spec, t2):
+    # the exact coarse pass against full-space RK45 read through the
+    # general Wootters concurrence, on the same grid
+    noise = NoiseSpec(t2_s=t2)
+    n = 101
+    result = max_entanglement_scan(spec, noise, n_samples=n)
+    window = default_window_s(spec) * (2.0 if result.extended else 1.0)
+    full = evolve_chain(spec, noise, t_end=window, n_samples=n, method="full",
+                        rtol=1e-10, atol=1e-14)
+    oracle = np.array([eof(p) for p in register_pair_state(full)])
+    grid = np.delete(result.curve_ef,
+                     np.searchsorted(result.curve_kt, result.tau_star_kt))
+    assert np.abs(grid - oracle).max() < 1e-8
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_sector_propagator_matches_full_space_at_tau_star(m):
+    spec, noise = ChainSpec(m_chain=m), NoiseSpec(t2_s=1e-3)
+    tau = max_entanglement_scan(spec, noise, n_samples=201).tau_star_s
+    state = SectorPropagator(spec, noise).advance(
+        initial_transfer_state(spec), tau)
+    full = evolve_chain(spec, noise, t_end=tau, n_samples=2, method="full",
+                        rtol=1e-10, atol=1e-14).states[-1]
+    assert np.abs(state.to_full() - full).max() < 1e-8
+    pair = distributed_pair(spec, noise, n_samples=201)
+    assert np.abs(pair - partial_trace(full, (0, spec.n_sites - 1))).max() < 1e-8
+
+
+@pytest.mark.parametrize("m, t2, e_m, tau_kt", [
+    (11, 0.5e-3, 0.009741545907316837, 20.277985846817227),
+    (31, 2e-3, 0.006239655077140471, 49.434651877195826),
+])
+def test_scan_reproduces_pinned_maxima(m, t2, e_m, tau_kt):
+    result = max_entanglement_scan(ChainSpec(m_chain=m), NoiseSpec(t2_s=t2))
+    assert abs(result.e_m - e_m) < 5e-8
+    assert abs(result.tau_star_kt - tau_kt) < 1e-3
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"n_samples": 0}, {"n_samples": 1}, {"t_end": 0.0}, {"t_end": -1e-4},
+])
+def test_scan_rejects_degenerate_grids(kwargs):
+    with pytest.raises(ValueError):
+        max_entanglement_scan(ChainSpec(m_chain=3), NoiseSpec(t2_s=1e-3), **kwargs)

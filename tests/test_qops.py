@@ -221,3 +221,17 @@ def test_n_qubits_rejects_non_power_of_two():
 def test_tensor_order():
     assert np.array_equal(tensor(pauli("x"), np.eye(2)),
                           embed(pauli("x"), 0, 2))
+
+
+def test_assert_density_checks_every_matrix_of_a_stack():
+    good = np.eye(4, dtype=complex) / 4
+    assert_density(np.stack([good, good]))
+    bad_trace = np.stack([good, 2 * good])
+    with pytest.raises(ValueError, match="trace"):
+        assert_density(bad_trace)
+    negative = good.copy()
+    negative[0, 0], negative[1, 1] = -0.1, 0.6
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        assert_density(np.stack([good, negative]))
+    with pytest.raises(ValueError):
+        assert_density(np.zeros((2, 4, 2)))
