@@ -13,9 +13,8 @@ second-nearest neighbor edges with strengths from their actual distances.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -127,9 +126,6 @@ class Geometry:
         if any(b <= a for a, b in zip(pos, pos[1:])):
             raise GeometryError("positions must increase strictly")
 
-    def to_json(self) -> str:
-        return json.dumps({"positions_nm": list(self.positions_nm)})
-
 
 @dataclass(frozen=True)
 class CouplingGraph:
@@ -142,20 +138,6 @@ class CouplingGraph:
     n_sites: int
     site_ids: tuple
     edges: tuple
-
-    def strength(self, i: int, j: int) -> float:
-        i, j = min(i, j), max(i, j)
-        for a, b, s in self.edges:
-            if (a, b) == (i, j):
-                return s
-        return 0.0
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "n_sites": self.n_sites,
-            "site_ids": list(self.site_ids),
-            "edges": [[a, b, s] for a, b, s in self.edges],
-        })
 
 
 _MAX_RESAMPLES = 100
@@ -314,8 +296,3 @@ def loss_configurations(m_chain: int, n_lost: int) -> list[frozenset]:
         for b in range(a + 2, m_chain + 1):
             out.append(frozenset({a, b}))
     return out
-
-
-def with_lost_sites(spec: ChainSpec, lost) -> ChainSpec:
-    """Copy of `spec` with a different lost-site set."""
-    return replace(spec, lost_sites=frozenset(lost))

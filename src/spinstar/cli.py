@@ -147,7 +147,12 @@ def parse_config_file(path: str) -> dict:
 
 
 def config_hash(cfg: RunConfig) -> str:
-    canon = json.dumps({"command": cfg.command, "params": cfg.params},
+    """Hash of everything that determines the outputs.
+
+    `jobs` only sets the worker count, never a result, so it stays out.
+    """
+    params = {k: v for k, v in cfg.params.items() if k != "jobs"}
+    canon = json.dumps({"command": cfg.command, "params": params},
                        sort_keys=True, default=list)
     return hashlib.sha256(canon.encode()).hexdigest()
 

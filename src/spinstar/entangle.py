@@ -12,21 +12,19 @@ Entanglement of formation is the binary entropy of
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import expm_multiply
 
 from .chain import ChainSpec, build_coupling_graph, single_excitation_matrix
 from .lindblad import (
     N_SAMPLES_DEFAULT,
     NoiseSpec,
+    SectorPropagator,
     SectorState,
     Trajectory,
+    check_grid,
     default_window_s,
     initial_transfer_state,
 )
@@ -116,7 +114,8 @@ class EmResult:
     equals the curve maximum).  `tau_star_kt` is dimensionless kappa*t,
     `tau_star_s` the same time in seconds.  `interior` flags whether the
     maximum fell strictly inside the window; `extended` whether the
-    window was auto-doubled once.
+    window was auto-doubled once.  `pair_state` is the register-pair
+    state at `tau_star_s`.
     """
 
     tau_star_kt: float
@@ -126,6 +125,7 @@ class EmResult:
     curve_ef: np.ndarray
     interior: bool
     extended: bool
+    pair_state: np.ndarray
     kappa_angular: float = 1.0
 
     def summary(self) -> dict:
@@ -162,81 +162,33 @@ def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
     return x, f(x)
 
 
-class SectorPropagator:
-    """Exact propagator of the 0+1-excitation blocks of one arm.
-
-    Per-site dephasing at rate Gamma leaves the vacuum population
-    constant and damps the vacuum-excitation coherences in closed form,
-    ``exp(-2 Gamma t) exp(-i h t) block01``, evaluated from one ``eigh``
-    of the hopping matrix ``h``.  The one-excitation block ``B`` follows
-    the Haken-Strobl equation ``dB/dt = -i[h, B] - 4 Gamma (B - diag B)``
-    and is carried by the action of the exponential of its sparse
-    n^2 x n^2 Liouvillian (``expm_multiply``, Al-Mohy & Higham 2011).
-    """
-
-    def __init__(self, spec: ChainSpec, noise: NoiseSpec):
-        h1 = single_excitation_matrix(build_coupling_graph(spec))
-        n = h1.shape[0]
-        self.gamma = gamma = noise.rate
-        self.energies, self.modes = np.linalg.eigh(h1)
-        h = sp.csr_matrix(h1)
-        eye = sp.identity(n, format="csr")
-        damping = np.full((n, n), -4.0 * gamma)
-        np.fill_diagonal(damping, 0.0)
-        # row-major vec: vec(h B) = (h x I) vec(B), vec(B h) = (I x h^T) vec(B)
-        self.liouvillian = (-1j * (sp.kron(h, eye) - sp.kron(eye, h.T))
-                            + sp.diags(damping.ravel())).tocsc()
-
-    def coherences(self, block01: np.ndarray, times) -> np.ndarray:
-        """`block01` evolved to each of `times`; shape (len(times), n)."""
-        t = np.asarray(times, dtype=float)[:, None]
-        amp = self.modes.conj().T @ block01
-        return (np.exp(-(1j * self.energies + 2.0 * self.gamma) * t) * amp) @ self.modes.T
-
-    def advance(self, state: SectorState, t: float) -> SectorState:
-        """`state` evolved by `t` seconds."""
-        n = state.n_sites
-        block11 = expm_multiply(self.liouvillian * t, state.block11.ravel())
-        return SectorState(state.block00, self.coherences(state.block01, [t])[0],
-                           block11.reshape(n, n))
-
-
 def _coarse_pass(prop: SectorPropagator, state0: SectorState, window: float,
                  n_samples: int) -> tuple:
     """E_F of the register pair on a uniform grid over [0, window].
 
-    With grid step dt and stride K = isqrt(n_samples - 1) + 1, sample
-    iK + j reads r^T exp(L j dt) exp(L iK dt) vec(B0) for four probe rows
-    r (tr B, B[0,0], B[last,last], B[0,last]).  One ``expm_multiply``
-    carries vec(B0) over the long strides iK dt, a second carries the
-    probes over the short ones j dt.  Every pair state is checked as a
-    density matrix; E_F comes from the concurrence 2|B[0,last]|, exact
-    for pair states without |11> weight.
+    Only four readings of B enter a pair state: tr B, B[0,0],
+    B[last,last] and B[0,last].  :meth:`SectorPropagator.on_grid` carries
+    the four probe rows that read them rather than the whole block.
+    Every pair state is checked as a density matrix; E_F comes from the
+    concurrence 2|B[0,last]|, exact for pair states without |11> weight.
 
     Returns (times, E_F, K, B at the long strides iK dt).
     """
     n = state0.n_sites
     last = n - 1
-    times = np.linspace(0.0, window, n_samples)
-    dt = times[1]
-    k = math.isqrt(n_samples - 1) + 1
-    n_long = max((n_samples - 1) // k + 1, 2)   # expm_multiply needs two points
-    cols = expm_multiply(prop.liouvillian, state0.block11.ravel(), start=0.0,
-                         stop=(n_long - 1) * k * dt, num=n_long, endpoint=True)
     probes = np.zeros((n * n, 4))
     probes[np.arange(n) * (n + 1), 0] = 1.0
     probes[0, 1] = 1.0
     probes[last * (n + 1), 2] = 1.0
     probes[last, 3] = 1.0
-    rows = expm_multiply(prop.liouvillian.T, probes, start=0.0,
-                         stop=(k - 1) * dt, num=k, endpoint=True)
-    trace, pop0, pop_last, b0l = (
-        np.einsum("jap,ia->ijp", rows, cols).reshape(-1, 4)[:n_samples].T)
+    times, readings, k, blocks = prop.on_grid(state0.block11, window, n_samples,
+                                              probes)
+    trace, pop0, pop_last, b0l = readings.T
     coh = prop.coherences(state0.block01, times)
     pairs = _pair_states(state0.block00, trace, pop0, pop_last,
                          coh[:, 0], coh[:, last], b0l)
     assert_density(pairs, eig_tol=_CLAMP_TOL)
-    return times, eof_from_concurrence(2.0 * np.abs(b0l)), k, cols.reshape(-1, n, n)
+    return times, eof_from_concurrence(2.0 * np.abs(b0l)), k, blocks
 
 
 def max_entanglement_scan(
@@ -252,17 +204,14 @@ def max_entanglement_scan(
     (doubling the window once if the maximum lands in the final 5% of
     samples); a golden-section search on exactly propagated states, read
     through the general concurrence, then locates tau* to TAU_REFINE_KT
-    in kappa*t.
+    in kappa*t, and the register pair is read once more at tau*.
     """
-    if n_samples < 2:
-        raise ValueError(f"n_samples must be at least 2, got {n_samples}")
-    if t_end is not None and not t_end > 0:
-        raise ValueError(f"t_end must be positive, got {t_end}")
+    window = default_window_s(spec) if t_end is None else t_end
+    check_grid(window, n_samples)
     kappa = spec.kappa_angular
-    prop = SectorPropagator(spec, noise)
+    prop = SectorPropagator(single_excitation_matrix(build_coupling_graph(spec)), noise)
     state0 = initial_transfer_state(spec, register_state, form="sector")
 
-    window = default_window_s(spec) if t_end is None else t_end
     times, efs, stride, blocks = _coarse_pass(prop, state0, window, n_samples)
     i_max = int(np.argmax(efs))
     extended = False
@@ -288,6 +237,7 @@ def max_entanglement_scan(
     tau_star, e_star = _golden_max(ef_at, lo, hi, TAU_REFINE_KT / kappa)
     if efs[i_max] >= e_star:   # never report worse than the grid
         tau_star, e_star = times[i_max], float(efs[i_max])
+    pair = pair_state_from_sector(prop.advance(at_lo, tau_star - lo))
 
     insert = int(np.searchsorted(times, tau_star))
     curve_t = np.insert(times, insert, tau_star)
@@ -300,27 +250,6 @@ def max_entanglement_scan(
         curve_ef=curve_e,
         interior=interior,
         extended=extended,
+        pair_state=pair,
         kappa_angular=kappa,
     )
-
-
-def export_em_csv(result: EmResult, path) -> None:
-    """Write the scanned curve as (tau_kt, tau_s, e_f) rows."""
-    kappa = result.kappa_angular
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["tau_kt", "tau_s", "e_f"])
-        for kt, ef_val in zip(result.curve_kt, result.curve_ef):
-            writer.writerow([f"{kt:.12g}", f"{kt / kappa:.12g}", f"{ef_val:.12g}"])
-
-
-def export_em_json(result: EmResult, path, spec_echo: dict | None = None,
-                   seed: int | None = None) -> None:
-    payload = result.summary()
-    if spec_echo is not None:
-        payload["spec"] = spec_echo
-    if seed is not None:
-        payload["seed"] = seed
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -19,13 +19,8 @@ import numpy as np
 from scipy.optimize import curve_fit
 
 from .chain import ChainSpec, DisorderSpec, loss_configurations, validate_star_geometry, GeometryError
-from .entangle import (
-    EmResult,
-    SectorPropagator,
-    max_entanglement_scan,
-    pair_state_from_sector,
-)
-from .lindblad import NoiseSpec, initial_transfer_state
+from .entangle import EmResult, max_entanglement_scan
+from .lindblad import NoiseSpec
 
 # NV- electron gyromagnetic ratio, rad s^-1 T^-1
 GAMMA_NV = 2 * math.pi * 28.03e9
@@ -392,7 +387,4 @@ def estimate_gradient_xy(
 
 def distributed_pair(spec: ChainSpec, noise: NoiseSpec, **scan_kwargs) -> np.ndarray:
     """Register pair state at the optimal transfer time of a chain arm."""
-    result = max_entanglement_scan(spec, noise, **scan_kwargs)
-    state0 = initial_transfer_state(spec, scan_kwargs.get("register_state", "plus"))
-    state = SectorPropagator(spec, noise).advance(state0, result.tau_star_s)
-    return pair_state_from_sector(state)
+    return max_entanglement_scan(spec, noise, **scan_kwargs).pair_state

@@ -8,26 +8,27 @@ every site dephasing at the same rate Gamma = 1/T2 (Z_i dagger Z_i is
 the identity, which collapses the anticommutator term).  A single-site
 coherence therefore decays as exp(-2*Gamma*t).
 
-Two integration paths produce identical physics:
+Two paths produce identical physics:
 
-* :func:`evolve` works on the full 2^n density matrix (the oracle path,
-  practical up to a handful of sites);
+* :func:`evolve` integrates the full 2^n density matrix with adaptive
+  embedded Runge-Kutta (4)5 (the oracle path, practical up to a handful
+  of sites);
 * :func:`evolve_sector` exploits excitation-number conservation to evolve
-  only the zero- and one-excitation blocks, an (n+1) x (n+1) matrix,
-  which scales to arbitrary chain lengths.
+  only the zero- and one-excitation blocks, exactly, with
+  :class:`SectorPropagator`; it scales to arbitrary chain lengths.
 
-Both use adaptive embedded Runge-Kutta (4)5, and both report trace drift
-rather than renormalizing.
+Both report trace drift rather than renormalizing.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.integrate import solve_ivp
+from scipy.sparse.linalg import expm_multiply
 
 from .chain import ChainSpec, CouplingGraph, build_coupling_graph, single_excitation_matrix
 from .qops import assert_density, n_qubits
@@ -85,24 +86,6 @@ class SectorState:
         w = np.linalg.eigvalsh((self.block11 + self.block11.conj().T) / 2)
         if w.min() < -tol:
             raise ValueError("one-excitation block is not positive semidefinite")
-
-    def to_reduced_matrix(self) -> np.ndarray:
-        """(n+1) x (n+1) matrix on the basis (vacuum, site 0, ..., site n-1)."""
-        n = self.n_sites
-        red = np.zeros((n + 1, n + 1), dtype=complex)
-        red[0, 0] = self.block00
-        red[1:, 0] = self.block01
-        red[0, 1:] = self.block01.conj()
-        red[1:, 1:] = self.block11
-        return red
-
-    @classmethod
-    def from_reduced_matrix(cls, red: np.ndarray) -> "SectorState":
-        return cls(
-            block00=float(red[0, 0].real),
-            block01=red[1:, 0].copy(),
-            block11=red[1:, 1:].copy(),
-        )
 
     def to_full(self) -> np.ndarray:
         """Embed into the full 2^n space (site 0 as the leftmost factor)."""
@@ -224,13 +207,12 @@ def _check_trace_drift(trace_series: np.ndarray) -> None:
         raise IntegrationError(f"trace drift {drift:.3e} exceeds {TRACE_DRIFT_TOL}")
 
 
-def _integrate(rhs, y0: np.ndarray, t_end: float, t_eval: np.ndarray,
-               rtol: float, atol: float):
-    sol = solve_ivp(rhs, (0.0, t_end), y0, t_eval=t_eval, method="RK45",
-                    rtol=rtol, atol=atol, dense_output=False)
-    if not sol.success:
-        raise IntegrationError(f"integrator failed: {sol.message}")
-    return sol
+def check_grid(t_end: float, n_samples: int) -> None:
+    """Reject a sampling grid that is empty or runs backwards."""
+    if not t_end > 0:
+        raise ValueError(f"t_end must be positive, got {t_end}")
+    if n_samples < 2:
+        raise ValueError(f"n_samples must be at least 2, got {n_samples}")
 
 
 def evolve(
@@ -248,8 +230,7 @@ def evolve(
     Stores `n_samples` equally spaced states on [0, t_end].  Trace drift
     beyond the tolerance raises; states are never silently renormalized.
     """
-    if not t_end > 0:
-        raise ValueError("t_end must be positive")
+    check_grid(t_end, n_samples)
     rho0 = np.asarray(rho0, dtype=complex)
     assert_density(rho0)
     n = n_qubits(rho0.shape[0])
@@ -268,28 +249,88 @@ def evolve(
         return d.ravel()
 
     times = np.linspace(0.0, t_end, n_samples)
-    sol = _integrate(rhs, rho0.ravel(), t_end, times, rtol, atol)
+    sol = solve_ivp(rhs, (0.0, t_end), rho0.ravel(), t_eval=times, method="RK45",
+                    rtol=rtol, atol=atol)
+    if not sol.success:
+        raise IntegrationError(f"integrator failed: {sol.message}")
     states = [sol.y[:, k].reshape(dim, dim) for k in range(sol.y.shape[1])]
     _check_trace_drift(np.array([np.trace(s).real for s in states]))
     return Trajectory(times_s=times, times_kt=kappa_angular * times,
                       states=states, kind="full", n_sites=n)
 
 
-def _sector_generator(h1: np.ndarray, gamma: float):
-    """Reduced Hamiltonian and dissipator mask on the (n+1) basis."""
-    n = h1.shape[0]
-    h_red = np.zeros((n + 1, n + 1), dtype=complex)
-    h_red[1:, 1:] = h1
-    mask = None
-    if gamma > 0:
-        # vacuum-excitation coherences decay at 2*Gamma, coherences between
-        # different excitation sites at 4*Gamma, populations untouched
-        mask = np.full((n + 1, n + 1), -4.0)
-        mask[0, :] = -2.0
-        mask[:, 0] = -2.0
-        np.fill_diagonal(mask, 0.0)
-        mask *= gamma
-    return h_red, mask
+class SectorPropagator:
+    """Exact propagator of the 0+1-excitation blocks of one arm.
+
+    Built from the hopping matrix `h1` of the one-excitation sector.
+    Per-site dephasing at rate Gamma leaves the vacuum population
+    constant and damps the vacuum-excitation coherences in closed form,
+    ``exp(-2 Gamma t) exp(-i h1 t) block01``, evaluated from one ``eigh``
+    of `h1`.  The one-excitation block ``B`` follows the Haken-Strobl
+    equation ``dB/dt = -i[h1, B] - 4 Gamma (B - diag B)`` and is carried
+    by the action of the exponential of its sparse n^2 x n^2 Liouvillian
+    ``L`` (``expm_multiply``, Al-Mohy & Higham 2011).
+    """
+
+    def __init__(self, h1: np.ndarray, noise: NoiseSpec):
+        n = h1.shape[0]
+        self.gamma = gamma = noise.rate
+        self.energies, self.modes = np.linalg.eigh(h1)
+        h = sp.csr_matrix(h1)
+        eye = sp.identity(n, format="csr")
+        damping = np.full((n, n), -4.0 * gamma)
+        np.fill_diagonal(damping, 0.0)
+        # row-major vec: vec(h B) = (h x I) vec(B), vec(B h) = (I x h^T) vec(B)
+        self.liouvillian = (-1j * (sp.kron(h, eye) - sp.kron(eye, h.T))
+                            + sp.diags(damping.ravel())).tocsc()
+
+    def coherences(self, block01: np.ndarray, times) -> np.ndarray:
+        """`block01` evolved to each of `times`; shape (len(times), n)."""
+        t = np.asarray(times, dtype=float)[:, None]
+        amp = self.modes.conj().T @ block01
+        return (np.exp(-(1j * self.energies + 2.0 * self.gamma) * t) * amp) @ self.modes.T
+
+    def advance(self, state: SectorState, t: float) -> SectorState:
+        """`state` evolved by `t` seconds."""
+        n = state.n_sites
+        block11 = expm_multiply(self.liouvillian * t, state.block11.ravel())
+        return SectorState(state.block00, self.coherences(state.block01, [t])[0],
+                           block11.reshape(n, n))
+
+    def on_grid(self, block11: np.ndarray, window: float, n_samples: int,
+                probes: np.ndarray | None = None) -> tuple:
+        """`block11` propagated to `n_samples` equally spaced times on [0, window].
+
+        With grid step dt and stride K = isqrt(n_samples - 1) + 1, sample
+        iK + j is exp(L j dt) exp(L iK dt) vec(B0).  One ``expm_multiply``
+        carries vec(B0) over the long strides iK dt, a second carries
+        those columns over the short strides j dt, so every sample comes
+        from at most two exact steps.  Given `probes`, an (n^2, p) array
+        of rows r, the second call carries the rows instead,
+        exp(L^T j dt) r, and only the p readings r^T vec(B) are formed.
+
+        Returns (times, values, K, B at the long strides iK dt), where
+        `values` holds the blocks, shape (n_samples, n, n), or the
+        readings, shape (n_samples, p).
+        """
+        n = block11.shape[0]
+        times = np.linspace(0.0, window, n_samples)
+        dt = times[1]
+        k = math.isqrt(n_samples - 1) + 1
+        n_long = max((n_samples - 1) // k + 1, 2)   # expm_multiply needs two points
+        cols = expm_multiply(self.liouvillian, block11.ravel(), start=0.0,
+                             stop=(n_long - 1) * k * dt, num=n_long, endpoint=True)
+        if probes is None:
+            short = expm_multiply(self.liouvillian, cols.T, start=0.0,
+                                  stop=(k - 1) * dt, num=k, endpoint=True)
+            values = (short.transpose(2, 0, 1).reshape(-1, n * n)[:n_samples]
+                      .reshape(n_samples, n, n))
+        else:
+            rows = expm_multiply(self.liouvillian.T, probes, start=0.0,
+                                 stop=(k - 1) * dt, num=k, endpoint=True)
+            values = (np.einsum("jap,ia->ijp", rows, cols)
+                      .reshape(-1, probes.shape[1])[:n_samples])
+        return times, values, k, cols.reshape(-1, n, n)
 
 
 def evolve_sector(
@@ -298,18 +339,17 @@ def evolve_sector(
     noise: NoiseSpec,
     t_end: float,
     n_samples: int = N_SAMPLES_DEFAULT,
-    rtol: float = RTOL_DEFAULT,
-    atol: float = ATOL_DEFAULT,
     kappa_angular: float = 1.0,
 ) -> Trajectory:
-    """Integrate the master equation on the excitation-reduced representation.
+    """Evolve the master equation on the excitation-reduced representation.
 
     The generator closes on the 0+1 excitation blocks (the Hamiltonian
     conserves excitation number and the dephasing operators are diagonal),
-    so this reproduces :func:`evolve` exactly at (n+1)^2 cost.
+    so this reproduces :func:`evolve` at (n+1)^2 cost.  `graph` is the
+    arm's coupling graph or its hopping matrix; the blocks are propagated
+    exactly by :class:`SectorPropagator`.
     """
-    if not t_end > 0:
-        raise ValueError("t_end must be positive")
+    check_grid(t_end, n_samples)
     if not isinstance(rho0, SectorState):
         raise ValueError("evolve_sector expects a SectorState; "
                          "use sector_from_full for full-space input")
@@ -318,22 +358,11 @@ def evolve_sector(
     n = rho0.n_sites
     if h1.shape != (n, n):
         raise ValueError("coupling matrix does not match the state size")
-    h_red, mask = _sector_generator(np.asarray(h1, dtype=complex), noise.rate)
-    dim = n + 1
-
-    def rhs(_t, y):
-        red = y.reshape(dim, dim)
-        d = -1j * (h_red @ red - red @ h_red)
-        if mask is not None:
-            d += mask * red
-        return d.ravel()
-
-    times = np.linspace(0.0, t_end, n_samples)
-    sol = _integrate(rhs, rho0.to_reduced_matrix().ravel(), t_end, times, rtol, atol)
-    states = [SectorState.from_reduced_matrix(sol.y[:, k].reshape(dim, dim))
-              for k in range(sol.y.shape[1])]
-    _check_trace_drift(np.array([s.block00 + np.trace(s.block11).real
-                                 for s in states]))
+    prop = SectorPropagator(h1, noise)
+    times, blocks, _, _ = prop.on_grid(rho0.block11, t_end, n_samples)
+    coh = prop.coherences(rho0.block01, times)
+    _check_trace_drift(rho0.block00 + np.trace(blocks, axis1=1, axis2=2).real)
+    states = [SectorState(rho0.block00, coh[k], blocks[k]) for k in range(n_samples)]
     return Trajectory(times_s=times, times_kt=kappa_angular * times,
                       states=states, kind="sector", n_sites=n)
 
@@ -353,13 +382,17 @@ def evolve_chain(
     rtol: float = RTOL_DEFAULT,
     atol: float = ATOL_DEFAULT,
 ) -> Trajectory:
-    """Build the arm for `spec` and integrate the transfer initial state."""
+    """Build the arm for `spec` and evolve the transfer initial state.
+
+    `rtol`/`atol` set the Runge-Kutta tolerances of ``method="full"``;
+    the sector path is exact and takes none.
+    """
     graph = build_coupling_graph(spec)
     t_end = default_window_s(spec) if t_end is None else t_end
     if method == "sector":
         state0 = initial_transfer_state(spec, register_state, form="sector")
         return evolve_sector(state0, graph, noise, t_end, n_samples,
-                             rtol, atol, kappa_angular=spec.kappa_angular)
+                             kappa_angular=spec.kappa_angular)
     if method == "full":
         from .chain import build_chain_hamiltonian
 
@@ -426,16 +459,3 @@ def _descriptor_expectation(traj: Trajectory, desc: tuple) -> np.ndarray:
         else:
             raise ValueError(f"unknown observable descriptor {desc!r}")
     return out
-
-
-def export_trajectory_csv(traj: Trajectory, path, observables: dict) -> None:
-    """Write (time_s, time_kt, observables...) rows to a CSV file."""
-    series = {name: observable_expectation(traj, op)
-              for name, op in observables.items()}
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time_s", "time_kt", *series.keys()])
-        for k in range(len(traj.times_s)):
-            row = [f"{traj.times_s[k]:.12g}", f"{traj.times_kt[k]:.12g}"]
-            row += [f"{series[name][k]:.12g}" for name in series]
-            writer.writerow(row)

@@ -29,9 +29,6 @@ _PAULI = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
     "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "z": np.array([[1, 0], [0, -1]], dtype=complex),
-    # (x + iy)/2 and (x - iy)/2 with the standard matrices above
-    "plus": np.array([[0, 1], [0, 0]], dtype=complex),
-    "minus": np.array([[0, 0], [1, 0]], dtype=complex),
 }
 
 
@@ -47,10 +44,10 @@ LOWER = np.array([[0, 1], [0, 0]], dtype=complex)
 
 
 def pauli(kind: str) -> np.ndarray:
-    """Return a 2x2 Pauli or ladder matrix.
+    """Return a 2x2 Pauli matrix.
 
-    ``kind`` is one of ``x, y, z, plus, minus, identity`` (case
-    insensitive).  ``plus``/``minus`` are ``(x +- i y)/2``.
+    ``kind`` is one of ``x, y, z, identity`` (case insensitive).  The
+    excitation ladder is :data:`RAISE`/:data:`LOWER`.
     """
     key = kind.lower()
     if key in ("i", "id", "1"):

@@ -141,9 +141,23 @@ def test_unknown_config_key_exits_2(tmp_path):
     ["--samples", "0"], ["--samples", "1"], ["--t-end-kt", "-5"],
 ])
 def test_degenerate_scan_grid_exits_2(tmp_path, capsys, flags):
-    code = run_cli(tmp_path, "scan", "--m", "3", *flags)
-    assert code == EXIT_CONFIG
-    assert capsys.readouterr().err.startswith("spinstar-error code=2 kind=config")
+    # evolve samples the same kind of grid as scan and rejects it alike
+    for command in ("scan", "evolve"):
+        code = run_cli(tmp_path, command, "--m", "3", *flags)
+        assert code == EXIT_CONFIG, command
+        assert capsys.readouterr().err.startswith("spinstar-error code=2 kind=config")
+
+
+def test_jobs_leave_hash_and_outputs_unchanged(tmp_path):
+    docs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / jobs
+        code = main(["sweep", "--ms", "2,3", *FAST, "--jobs", jobs,
+                     "--outdir", str(out)])
+        assert code == EXIT_OK
+        man = json.loads((out / "manifest.json").read_text())
+        docs.append((man["config_sha256"], (out / "fig4b.csv").read_bytes()))
+    assert docs[0] == docs[1]
 
 
 def test_flag_overrides_config_file(tmp_path):

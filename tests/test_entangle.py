@@ -3,15 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from spinstar.chain import ChainSpec, DisorderSpec
+from spinstar.chain import (
+    ChainSpec,
+    DisorderSpec,
+    build_coupling_graph,
+    single_excitation_matrix,
+)
 from spinstar.entangle import (
     EmResult,
-    SectorPropagator,
     concurrence,
     eof,
     eof_from_concurrence,
-    export_em_csv,
-    export_em_json,
     max_entanglement_scan,
     pair_state_from_sector,
     register_pair_state,
@@ -19,6 +21,7 @@ from spinstar.entangle import (
 from spinstar.experiments import distributed_pair
 from spinstar.lindblad import (
     NoiseSpec,
+    SectorPropagator,
     default_window_s,
     evolve_chain,
     initial_transfer_state,
@@ -206,23 +209,6 @@ def test_scan_auto_extends_once(monkeypatch):
     assert abs(result.tau_star_kt - 13.83) < 0.1
 
 
-def test_em_export_roundtrip(tmp_path):
-    result = max_entanglement_scan(ChainSpec(m_chain=2), NoiseSpec(t2_s=1e-3),
-                                   n_samples=101)
-    csv_path = tmp_path / "curve.csv"
-    export_em_csv(result, csv_path)
-    rows = csv_path.read_text().strip().splitlines()
-    assert rows[0] == "tau_kt,tau_s,e_f"
-    assert len(rows) == len(result.curve_kt) + 1
-    json_path = tmp_path / "summary.json"
-    export_em_json(result, json_path, spec_echo={"m": 2}, seed=0)
-    import json as _json
-
-    doc = _json.loads(json_path.read_text())
-    assert doc["e_m"] == result.e_m
-    assert doc["spec"] == {"m": 2}
-
-
 def test_concurrence_identity_on_random_sector_states():
     # a pair state without |11> weight has C = 2|rho_{01,10}| exactly
     rng = np.random.default_rng(11)
@@ -264,8 +250,8 @@ def test_scan_curve_matches_full_space_oracle(spec, t2):
 def test_sector_propagator_matches_full_space_at_tau_star(m):
     spec, noise = ChainSpec(m_chain=m), NoiseSpec(t2_s=1e-3)
     tau = max_entanglement_scan(spec, noise, n_samples=201).tau_star_s
-    state = SectorPropagator(spec, noise).advance(
-        initial_transfer_state(spec), tau)
+    h1 = single_excitation_matrix(build_coupling_graph(spec))
+    state = SectorPropagator(h1, noise).advance(initial_transfer_state(spec), tau)
     full = evolve_chain(spec, noise, t_end=tau, n_samples=2, method="full",
                         rtol=1e-10, atol=1e-14).states[-1]
     assert np.abs(state.to_full() - full).max() < 1e-8

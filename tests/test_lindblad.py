@@ -3,9 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from spinstar.chain import ChainSpec, build_coupling_graph, single_excitation_matrix
+from spinstar.chain import (
+    ChainSpec,
+    DisorderSpec,
+    build_coupling_graph,
+    single_excitation_matrix,
+)
+from spinstar.entangle import eof, max_entanglement_scan, register_pair_state
 from spinstar.lindblad import (
     NoiseSpec,
+    SectorPropagator,
     SectorState,
     default_window_s,
     evolve,
@@ -159,10 +166,37 @@ def test_sector_unitary_block_is_schroedinger():
 
 def test_long_chain_sector_run():
     spec = ChainSpec(m_chain=20)
-    traj = evolve_chain(spec, NoiseSpec(t2_s=1e-3), n_samples=101)
+    noise = NoiseSpec(t2_s=1e-3)
+    traj = evolve_chain(spec, noise, n_samples=101)
     assert traj.n_sites == 22
     for s in traj.states[:: 20]:
         s.check(tol=1e-6)
+    # the strided grid agrees with one exact step from t = 0
+    prop = SectorPropagator(single_excitation_matrix(build_coupling_graph(spec)), noise)
+    state0 = initial_transfer_state(spec)
+    for k in (7, 58, 100):
+        direct = prop.advance(state0, traj.times_s[k])
+        assert np.abs(traj.states[k].block11 - direct.block11).max() < 1e-12
+        assert np.abs(traj.states[k].block01 - direct.block01).max() < 1e-12
+
+
+@pytest.mark.parametrize("t2", [math.inf, 1e-3])
+@pytest.mark.parametrize("spec", [
+    ChainSpec(m_chain=5, lost_sites={2}),
+    ChainSpec(m_chain=5, disorder=DisorderSpec(variance_nm2=0.25, seed=3)),
+], ids=["lossy", "disordered"])
+def test_sector_trajectory_matches_scan_grid(spec, t2):
+    # evolve_sector carries whole blocks where the scan carries four
+    # probe rows; both read the same grid of exact states
+    noise = NoiseSpec(t2_s=t2)
+    n = 401
+    result = max_entanglement_scan(spec, noise, n_samples=n)
+    window = default_window_s(spec) * (2.0 if result.extended else 1.0)
+    traj = evolve_chain(spec, noise, t_end=window, n_samples=n)
+    e_f = np.array([eof(p) for p in register_pair_state(traj)])
+    grid = np.delete(result.curve_ef,
+                     np.searchsorted(result.curve_kt, result.tau_star_kt))
+    assert np.abs(grid - e_f).max() < 1e-12
 
 
 def test_excitation_number_is_flat():
@@ -183,14 +217,19 @@ def test_density_invariants_along_trajectory():
 
 def test_self_convergence_when_tolerance_tightens():
     # sampled states move by about the looser local tolerance (a small
-    # accumulation factor on top of the per-step bound)
+    # accumulation factor on top of the per-step bound).  RK45 controls
+    # the RMS error over all 4^n entries, of which only the (n+1)^2 in
+    # the 0+1 sectors move, so one entry may carry sqrt(4^n/(n+1)^2)
+    # times the error it would on the (n+1)^2 sector entries alone
     spec = ChainSpec(m_chain=2)
     noise = NoiseSpec(t2_s=1e-3)
-    loose = evolve_chain(spec, noise, n_samples=21, rtol=1e-8, atol=1e-12)
-    tight = evolve_chain(spec, noise, n_samples=21, rtol=5e-9, atol=1e-12)
-    dev = max(np.abs(a.to_reduced_matrix() - b.to_reduced_matrix()).max()
-              for a, b in zip(loose.states, tight.states))
-    assert dev < 2e-8
+    loose = evolve_chain(spec, noise, n_samples=21, method="full",
+                         rtol=1e-8, atol=1e-12)
+    tight = evolve_chain(spec, noise, n_samples=21, method="full",
+                         rtol=5e-9, atol=1e-12)
+    dev = max(np.abs(a - b).max() for a, b in zip(loose.states, tight.states))
+    n = spec.n_sites
+    assert dev < 2e-8 * math.sqrt(4 ** n / (n + 1) ** 2)
 
 
 def test_observable_expectation_descriptors():
@@ -229,17 +268,7 @@ def test_evolve_rejects_bad_inputs():
                NoiseSpec(t2_s=1e-3), t_end=-1.0)
     with pytest.raises(ValueError):
         lindblad_rhs(np.eye(2) / 2, np.zeros((4, 4)), NoiseSpec(t2_s=1e-3))
-
-
-def test_trajectory_csv_export(tmp_path):
-    from spinstar.lindblad import export_trajectory_csv
-
-    traj = evolve_chain(ChainSpec(m_chain=2), NoiseSpec(t2_s=1e-3), n_samples=9)
-    path = tmp_path / "traj.csv"
-    export_trajectory_csv(traj, path, {"n_exc": ("n_exc",),
-                                       "pop_end": ("pop", 3)})
-    rows = path.read_text().strip().splitlines()
-    assert rows[0] == "time_s,time_kt,n_exc,pop_end"
-    assert len(rows) == 10
-    first = rows[1].split(",")
-    assert float(first[2]) == pytest.approx(0.5)
+    for method in ("full", "sector"):
+        with pytest.raises(ValueError):
+            evolve_chain(ChainSpec(m_chain=2), NoiseSpec(t2_s=1e-3),
+                         n_samples=1, method=method)
