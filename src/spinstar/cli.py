@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .chain import ChainSpec, GeometryError, validate_star_geometry
-from .entangle import max_entanglement_scan, register_pair_state
+from .entangle import eof, max_entanglement_scan, register_pair_state, sector_pair_eof
 from .experiments import (
     EstimationError,
     GradientSpec,
@@ -72,7 +72,6 @@ DEFAULTS = {
     "d_nm": 50.0,
     "n_times": 64,
     "method": "sector",
-    "jobs": os.cpu_count() or 1,
 }
 
 COMMAND_KEYS = {
@@ -83,19 +82,19 @@ COMMAND_KEYS = {
     "scan": ("m", "n", "r_nm", "delta_ratio", "kappa_hz", "t2_ms", "t_end_kt",
              "samples", "register_state", "seed"),
     "sweep": ("ms", "n", "r_nm", "delta_ratio", "kappa_hz", "t2_ms", "samples",
-              "register_state", "seed", "jobs"),
+              "register_state", "seed"),
     "fit": ("ms", "n", "t2s_ms", "r_nm", "delta_ratio", "kappa_hz", "samples",
-            "register_state", "seed", "jobs"),
+            "register_state", "seed"),
     "disorder": ("ms", "n", "runs", "variance", "r_nm", "delta_ratio",
-                 "kappa_hz", "t2_ms", "samples", "register_state", "seed", "jobs"),
+                 "kappa_hz", "t2_ms", "samples", "register_state", "seed"),
     "loss": ("ms", "n", "n_lost", "r_nm", "delta_ratio", "kappa_hz", "t2_ms",
-             "samples", "register_state", "seed", "jobs"),
+             "samples", "register_state", "seed"),
     "gradient": ("ms", "n", "gx", "gy", "d_nm", "n_times", "r_nm", "delta_ratio",
-                 "kappa_hz", "t2_ms", "samples", "register_state", "seed", "jobs"),
+                 "kappa_hz", "t2_ms", "samples", "register_state", "seed"),
 }
 
 _INT_KEYS = {"n", "m", "runs", "seed", "samples", "outcome", "n_lost",
-             "n_times", "jobs"}
+             "n_times"}
 _TUPLE_KEYS = {"ms", "t2s_ms"}
 _STR_KEYS = {"register_state", "method"}
 
@@ -147,12 +146,8 @@ def parse_config_file(path: str) -> dict:
 
 
 def config_hash(cfg: RunConfig) -> str:
-    """Hash of everything that determines the outputs.
-
-    `jobs` only sets the worker count, never a result, so it stays out.
-    """
-    params = {k: v for k, v in cfg.params.items() if k != "jobs"}
-    canon = json.dumps({"command": cfg.command, "params": params},
+    """Hash of everything that determines the outputs."""
+    canon = json.dumps({"command": cfg.command, "params": cfg.params},
                        sort_keys=True, default=list)
     return hashlib.sha256(canon.encode()).hexdigest()
 
@@ -266,8 +261,10 @@ def _cmd_evolve(cfg: RunConfig, outdir: str) -> list:
                         n_samples=p["samples"], method=p["method"],
                         register_state=p["register_state"])
     pairs = register_pair_state(traj)
-    from .entangle import eof
-    e_f = [eof(pr) for pr in pairs]
+    if traj.kind == "sector":
+        e_f = sector_pair_eof(np.array(pairs))
+    else:   # the general concurrence stays the full-space oracle
+        e_f = [eof(pr) for pr in pairs]
     pop0 = observable_expectation(traj, ("pop", 0))
     pop_end = observable_expectation(traj, ("pop", traj.n_sites - 1))
     n_exc = observable_expectation(traj, ("n_exc",))
@@ -303,8 +300,7 @@ def _cmd_scan(cfg: RunConfig, outdir: str) -> list:
 def _cmd_sweep(cfg: RunConfig, outdir: str) -> list:
     p = cfg.params
     _check_geometry(p, p["ms"])
-    points = sweep_length(p["ms"], _noise(p), n_outer=p["n"], jobs=p["jobs"],
-                          **_scan_kwargs(p))
+    points = sweep_length(p["ms"], _noise(p), n_outer=p["n"], **_scan_kwargs(p))
     points = sorted(points, key=lambda pt: pt.m_chain)
     curve_rows = []
     for pt in points:
@@ -325,8 +321,7 @@ def _cmd_fit(cfg: RunConfig, outdir: str) -> list:
     grid = []
     for t2_ms in p["t2s_ms"]:
         noise = NoiseSpec(t2_s=t2_ms * 1e-3)
-        for pt in sweep_length(p["ms"], noise, n_outer=p["n"], jobs=p["jobs"],
-                               **_scan_kwargs(p)):
+        for pt in sweep_length(p["ms"], noise, n_outer=p["n"], **_scan_kwargs(p)):
             grid.append((pt.m_chain, t2_ms, pt.e_m))
     grid.sort()
     grid_path = os.path.join(outdir, "emgrid.csv")
@@ -345,7 +340,7 @@ def _cmd_disorder(cfg: RunConfig, outdir: str) -> list:
     _check_geometry(p, p["ms"])
     table = disorder_monte_carlo(p["ms"], _noise(p), runs=p["runs"],
                                  variance=p["variance"], seed=p["seed"],
-                                 jobs=p["jobs"], **_scan_kwargs(p))
+                                 **_scan_kwargs(p))
     table = sorted(table, key=lambda row: row.m_chain)
     path = os.path.join(outdir, "fig6.csv")
     write_csv(path, ["m", "mean_em", "std_em"],
@@ -367,8 +362,7 @@ def _cmd_loss(cfg: RunConfig, outdir: str) -> tuple[list, list]:
             if m < n_lost or (n_lost == 2 and m < 3):
                 notes.append(f"m={m} n_lost={n_lost}: no admissible configurations")
                 continue
-            report = loss_study(int(m), _noise(p), n_lost, jobs=p["jobs"],
-                                **_scan_kwargs(p))
+            report = loss_study(int(m), _noise(p), n_lost, **_scan_kwargs(p))
             if report.expectation is None:
                 notes.append(f"m={m} n_lost={n_lost}: no admissible configurations")
                 continue
@@ -459,7 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
         "d_nm": "register pair separation in nm (default: %(d)s)",
         "n_times": "sensing readout samples (default: %(d)s)",
         "method": "integration path, sector|full (default: %(d)s)",
-        "jobs": "parallel worker processes (default: %(d)s)",
     }
     for command, keys in COMMAND_KEYS.items():
         cp = sub.add_parser(command, help=f"run the {command} campaign")

@@ -65,6 +65,16 @@ def eof(rho: np.ndarray) -> float:
     return eof_from_concurrence(concurrence(rho))
 
 
+def sector_pair_eof(pairs: np.ndarray) -> np.ndarray:
+    """E_F of a stack of register-pair states without |11> weight.
+
+    Every state is checked as a density matrix; E_F comes from the
+    concurrence 2|rho_{10,01}|, exact for such states.
+    """
+    assert_density(pairs, eig_tol=_CLAMP_TOL)
+    return eof_from_concurrence(2.0 * np.abs(pairs[..., 2, 1]))
+
+
 def _pair_states(vacuum, trace, pop0, pop_last, coh0, coh_last, b0l) -> np.ndarray:
     """Register-pair states, shape (..., 4, 4), from the sector entries they read.
 
@@ -169,8 +179,7 @@ def _coarse_pass(prop: SectorPropagator, state0: SectorState, window: float,
     Only four readings of B enter a pair state: tr B, B[0,0],
     B[last,last] and B[0,last].  :meth:`SectorPropagator.on_grid` carries
     the four probe rows that read them rather than the whole block.
-    Every pair state is checked as a density matrix; E_F comes from the
-    concurrence 2|B[0,last]|, exact for pair states without |11> weight.
+    E_F comes from :func:`sector_pair_eof`, which reads B[0,last].
 
     Returns (times, E_F, K, B at the long strides iK dt).
     """
@@ -187,8 +196,7 @@ def _coarse_pass(prop: SectorPropagator, state0: SectorState, window: float,
     coh = prop.coherences(state0.block01, times)
     pairs = _pair_states(state0.block00, trace, pop0, pop_last,
                          coh[:, 0], coh[:, last], b0l)
-    assert_density(pairs, eig_tol=_CLAMP_TOL)
-    return times, eof_from_concurrence(2.0 * np.abs(b0l)), k, blocks
+    return times, sector_pair_eof(pairs), k, blocks
 
 
 def max_entanglement_scan(

@@ -3,8 +3,7 @@ spin-loss studies, and field-gradient sensing on the distributed pair.
 
 Every campaign is a pure function of its specification and a single seed;
 per-run randomness derives from stable spawn keys, so results are
-reproducible and independent of execution order.  Campaigns of
-independent runs accept a `jobs` argument for process-level parallelism.
+reproducible and independent of execution order.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from __future__ import annotations
 import math
 import warnings
 import zlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -37,17 +35,6 @@ def stable_seed(master: int, purpose: str, *indices: int) -> int:
     return int(np.random.SeedSequence(key).generate_state(1)[0])
 
 
-def _run_jobs(worker, payloads: list, jobs: int) -> list:
-    """Run payloads through `worker`, optionally on a process pool.
-
-    Results come back in payload order regardless of scheduling.
-    """
-    if jobs <= 1 or len(payloads) <= 1:
-        return [worker(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, payloads))
-
-
 # -- length sweep ------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -61,11 +48,6 @@ class LengthPoint:
         return self.result.e_m
 
 
-def _scan_payload(payload: tuple) -> EmResult:
-    spec, noise, kwargs = payload
-    return max_entanglement_scan(spec, noise, **kwargs)
-
-
 def _spec_for_length(m: int, base_spec: ChainSpec | None) -> ChainSpec:
     if base_spec is None:
         return ChainSpec(m_chain=m)
@@ -73,7 +55,7 @@ def _spec_for_length(m: int, base_spec: ChainSpec | None) -> ChainSpec:
 
 
 def sweep_length(
-    ms, noise: NoiseSpec, n_outer: int = 3, jobs: int = 1,
+    ms, noise: NoiseSpec, n_outer: int = 3,
     base_spec: ChainSpec | None = None, **scan_kwargs
 ) -> list[LengthPoint]:
     """One transfer scan per chain length, geometry-validated up front.
@@ -86,9 +68,10 @@ def sweep_length(
         if not validate_star_geometry(n_outer, m):
             raise GeometryError(
                 f"N={n_outer}, M={m} violates the arm-count bound")
-    payloads = [(_spec_for_length(m, base_spec), noise, scan_kwargs) for m in ms]
-    results = _run_jobs(_scan_payload, payloads, jobs)
-    return [LengthPoint(m, noise.t2_s, r) for m, r in zip(ms, results)]
+    return [LengthPoint(m, noise.t2_s,
+                        max_entanglement_scan(_spec_for_length(m, base_spec), noise,
+                                              **scan_kwargs))
+            for m in ms]
 
 
 # -- exponential decay fit ---------------------------------------------------
@@ -180,18 +163,12 @@ class DisorderPoint:
     values: tuple
 
 
-def _disorder_payload(payload: tuple) -> float:
-    spec, noise, kwargs = payload
-    return max_entanglement_scan(spec, noise, **kwargs).e_m
-
-
 def disorder_monte_carlo(
     ms,
     noise: NoiseSpec,
     runs: int = 100,
     variance: float = 0.25,
     seed: int = 0,
-    jobs: int = 1,
     base_spec: ChainSpec | None = None,
     **scan_kwargs,
 ) -> list[DisorderPoint]:
@@ -206,12 +183,12 @@ def disorder_monte_carlo(
     for m in ms:
         m = int(m)
         base = _spec_for_length(m, base_spec)
-        payloads = []
+        values = []
         for run in range(runs):
             dis = DisorderSpec(mean_nm=base.spacing_nm, variance_nm2=variance,
                                seed=stable_seed(seed, "disorder", m, run))
-            payloads.append((replace(base, disorder=dis), noise, scan_kwargs))
-        values = _run_jobs(_disorder_payload, payloads, jobs)
+            values.append(max_entanglement_scan(replace(base, disorder=dis), noise,
+                                                **scan_kwargs).e_m)
         arr = np.array(values)
         out.append(DisorderPoint(m, float(arr.mean()), float(arr.std()),
                                  tuple(float(v) for v in arr)))
@@ -238,14 +215,14 @@ class LossReport:
 
 
 def loss_study(
-    m_chain: int, noise: NoiseSpec, n_lost: int, jobs: int = 1, **scan_kwargs
+    m_chain: int, noise: NoiseSpec, n_lost: int, **scan_kwargs
 ) -> LossReport:
     """Scan every admissible loss configuration of the given size."""
     configs = loss_configurations(m_chain, n_lost)
     configs = sorted(configs, key=sorted)
-    payloads = [(ChainSpec(m_chain=m_chain, lost_sites=cfg), noise, scan_kwargs)
-                for cfg in configs]
-    results = _run_jobs(_scan_payload, payloads, jobs)
+    results = [max_entanglement_scan(ChainSpec(m_chain=m_chain, lost_sites=cfg),
+                                     noise, **scan_kwargs)
+               for cfg in configs]
     expectation = (float(np.mean([r.e_m for r in results]))
                    if results else None)
     return LossReport(

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 
 from .chain import ChainSpec, CouplingGraph, build_coupling_graph, single_excitation_matrix
@@ -259,6 +260,41 @@ def evolve(
                       states=states, kind="full", n_sites=n)
 
 
+# Crossovers of SectorPropagator's dense branch, in n^2, the size of the
+# Liouvillian of an n-site arm.  Measured with one BLAS thread on a 2-vCPU
+# Xeon VM (numpy 2.4, scipy 1.17), default arms at T2 = 1 ms, medians;
+# on_grid over 2001 samples of the default window, with the scan's probe
+# rows or whole blocks; advance by two grid steps; peak memory as traced
+# by tracemalloc over one probe-row on_grid:
+#
+#   M   n^2 |  probes, ms   |  blocks, ms   | advance, ms  | peak, MB
+#           | sparse  dense | sparse  dense | sparse dense | sparse dense
+#   3    25 |    30    0.3  |    46    1.2  |  0.36  0.05  |  0.31  0.32
+#   5    49 |    42    0.8  |    74    2.4  |  0.37  0.18  |  0.46  0.53
+#   7    81 |    49    1.9  |   106    4.9  |  0.41  0.65  |  0.66  0.94
+#   9   121 |    59    4.8  |   146    7.7  |  0.41  1.75  |  0.95  2.05
+#  11   169 |    62   11.1  |   205   16.4  |  0.44  4.06  |  1.22  4.40
+#  13   225 |    78   24.2  |   216   36.4  |  0.47  8.63  |  1.58  7.78
+#  15   289 |    94   48.8  |   280   63.7  |  0.48  16.9  |  2.05  12.8
+#
+# Each refinement point is one advance, so its dense exponential pays
+# only while it costs less than one expm_multiply call: n^2 <= 49.  On
+# the grid the dense branch stays faster past M = 15, but its working
+# set grows as n^4 (expm holds several n^2 x n^2 arrays); stopping at
+# n^2 = 169 keeps it within a few MB.
+DENSE_GRID_MAX = 169
+DENSE_ADVANCE_MAX = 49
+
+
+def _powers(p: np.ndarray, x: np.ndarray, count: int) -> np.ndarray:
+    """x, p x, p^2 x, ... (`count` terms), stacked along a new first axis."""
+    out = np.empty((count,) + x.shape, dtype=complex)
+    out[0] = x
+    for j in range(1, count):
+        out[j] = p @ out[j - 1]
+    return out
+
+
 class SectorPropagator:
     """Exact propagator of the 0+1-excitation blocks of one arm.
 
@@ -267,22 +303,37 @@ class SectorPropagator:
     constant and damps the vacuum-excitation coherences in closed form,
     ``exp(-2 Gamma t) exp(-i h1 t) block01``, evaluated from one ``eigh``
     of `h1`.  The one-excitation block ``B`` follows the Haken-Strobl
-    equation ``dB/dt = -i[h1, B] - 4 Gamma (B - diag B)`` and is carried
-    by the action of the exponential of its sparse n^2 x n^2 Liouvillian
-    ``L`` (``expm_multiply``, Al-Mohy & Higham 2011).
+    equation ``dB/dt = -i[h1, B] - 4 Gamma (B - diag B)``, linear in
+    vec(B) with the n^2 x n^2 Liouvillian ``L``.
+
+    Short arms hold ``L`` dense and take dense exponentials (scaling and
+    squaring, Higham 2005): on the grid while n^2 <= DENSE_GRID_MAX
+    (`dense_grid`), in :meth:`advance` while n^2 <= DENSE_ADVANCE_MAX
+    (`dense_advance`).  Otherwise ``L`` is sparse and carried by the
+    action of its exponential (``expm_multiply``, Al-Mohy & Higham 2011).
     """
 
     def __init__(self, h1: np.ndarray, noise: NoiseSpec):
         n = h1.shape[0]
         self.gamma = gamma = noise.rate
         self.energies, self.modes = np.linalg.eigh(h1)
-        h = sp.csr_matrix(h1)
-        eye = sp.identity(n, format="csr")
+        self.dense_grid = n * n <= DENSE_GRID_MAX
+        self.dense_advance = n * n <= DENSE_ADVANCE_MAX
         damping = np.full((n, n), -4.0 * gamma)
         np.fill_diagonal(damping, 0.0)
         # row-major vec: vec(h B) = (h x I) vec(B), vec(B h) = (I x h^T) vec(B)
-        self.liouvillian = (-1j * (sp.kron(h, eye) - sp.kron(eye, h.T))
-                            + sp.diags(damping.ravel())).tocsc()
+        if self.dense_grid:
+            eye = np.eye(n)
+            self.liouvillian = (-1j * (np.kron(h1, eye) - np.kron(eye, h1.T))
+                                + np.diag(damping.ravel()))
+            # the sparse form expm_multiply acts on, where advance uses it
+            self._sparse = None if self.dense_advance else sp.csc_matrix(self.liouvillian)
+        else:
+            h = sp.csr_matrix(h1)
+            eye = sp.identity(n, format="csr")
+            self.liouvillian = self._sparse = (
+                -1j * (sp.kron(h, eye) - sp.kron(eye, h.T))
+                + sp.diags(damping.ravel())).tocsc()
 
     def coherences(self, block01: np.ndarray, times) -> np.ndarray:
         """`block01` evolved to each of `times`; shape (len(times), n)."""
@@ -293,7 +344,10 @@ class SectorPropagator:
     def advance(self, state: SectorState, t: float) -> SectorState:
         """`state` evolved by `t` seconds."""
         n = state.n_sites
-        block11 = expm_multiply(self.liouvillian * t, state.block11.ravel())
+        if self.dense_advance:
+            block11 = expm(self.liouvillian * t) @ state.block11.ravel()
+        else:
+            block11 = expm_multiply(self._sparse * t, state.block11.ravel())
         return SectorState(state.block00, self.coherences(state.block01, [t])[0],
                            block11.reshape(n, n))
 
@@ -302,12 +356,14 @@ class SectorPropagator:
         """`block11` propagated to `n_samples` equally spaced times on [0, window].
 
         With grid step dt and stride K = isqrt(n_samples - 1) + 1, sample
-        iK + j is exp(L j dt) exp(L iK dt) vec(B0).  One ``expm_multiply``
-        carries vec(B0) over the long strides iK dt, a second carries
-        those columns over the short strides j dt, so every sample comes
-        from at most two exact steps.  Given `probes`, an (n^2, p) array
-        of rows r, the second call carries the rows instead,
-        exp(L^T j dt) r, and only the p readings r^T vec(B) are formed.
+        iK + j is exp(L j dt) exp(L iK dt) vec(B0).  vec(B0) is carried
+        over the long strides iK dt, then those columns over the short
+        strides j dt, so every sample comes from at most two exact steps:
+        on the dense branch by repeated products with P_K = expm(L K dt)
+        and P_1 = expm(L dt), otherwise by two ``expm_multiply`` interval
+        calls.  Given `probes`, an (n^2, p) array of rows r, the short
+        strides carry the rows instead, exp(L^T j dt) r, and only the p
+        readings r^T vec(B) are formed, in one product.
 
         Returns (times, values, K, B at the long strides iK dt), where
         `values` holds the blocks, shape (n_samples, n, n), or the
@@ -318,18 +374,29 @@ class SectorPropagator:
         dt = times[1]
         k = math.isqrt(n_samples - 1) + 1
         n_long = max((n_samples - 1) // k + 1, 2)   # expm_multiply needs two points
-        cols = expm_multiply(self.liouvillian, block11.ravel(), start=0.0,
-                             stop=(n_long - 1) * k * dt, num=n_long, endpoint=True)
+        if self.dense_grid:
+            cols = _powers(expm(self.liouvillian * (k * dt)), block11.ravel(), n_long)
+            step = expm(self.liouvillian * dt)
+            if probes is None:
+                short = _powers(step, cols.T, k)
+            else:
+                rows = _powers(step.T, probes, k)
+        else:
+            cols = expm_multiply(self.liouvillian, block11.ravel(), start=0.0,
+                                 stop=(n_long - 1) * k * dt, num=n_long, endpoint=True)
+            if probes is None:
+                short = expm_multiply(self.liouvillian, cols.T, start=0.0,
+                                      stop=(k - 1) * dt, num=k, endpoint=True)
+            else:
+                rows = expm_multiply(self.liouvillian.T, probes, start=0.0,
+                                     stop=(k - 1) * dt, num=k, endpoint=True)
         if probes is None:
-            short = expm_multiply(self.liouvillian, cols.T, start=0.0,
-                                  stop=(k - 1) * dt, num=k, endpoint=True)
             values = (short.transpose(2, 0, 1).reshape(-1, n * n)[:n_samples]
                       .reshape(n_samples, n, n))
         else:
-            rows = expm_multiply(self.liouvillian.T, probes, start=0.0,
-                                 stop=(k - 1) * dt, num=k, endpoint=True)
-            values = (np.einsum("jap,ia->ijp", rows, cols)
-                      .reshape(-1, probes.shape[1])[:n_samples])
+            p = probes.shape[1]
+            values = ((cols @ rows.transpose(1, 0, 2).reshape(n * n, k * p))
+                      .reshape(-1, p)[:n_samples])
         return times, values, k, cols.reshape(-1, n, n)
 
 

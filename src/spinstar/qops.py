@@ -21,7 +21,6 @@ HERMITIAN_TOL = 1e-12       # Hamiltonians
 DENSITY_HERMITIAN_TOL = 1e-10
 DENSITY_TRACE_TOL = 1e-8
 DENSITY_EIG_TOL = 1e-8      # smallest eigenvalue >= -DENSITY_EIG_TOL
-STATE_NORM_TOL = 1e-10
 MEASUREMENT_EPS = 1e-12     # outcome probabilities below this are "impossible"
 
 _PAULI = {
@@ -123,10 +122,6 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
 
 
-def dag(a: np.ndarray) -> np.ndarray:
-    return np.asarray(a).conj().T
-
-
 def assert_hermitian(op: np.ndarray, tol: float = HERMITIAN_TOL) -> None:
     """Raise if `op` deviates from its adjoint by more than `tol` entrywise."""
     op = np.asarray(op)
@@ -163,12 +158,6 @@ def assert_density(
     w = np.linalg.eigvalsh((rho + adj) / 2)
     if w.min() < -eig_tol:
         raise ValueError(f"density matrix has negative eigenvalue {w.min():.3e}")
-
-
-def assert_normalized(psi: np.ndarray, tol: float = STATE_NORM_TOL) -> None:
-    nrm2 = float(np.vdot(psi, psi).real)
-    if abs(nrm2 - 1.0) > tol:
-        raise ValueError(f"state squared norm {nrm2} deviates from 1")
 
 
 def partial_trace(rho: np.ndarray, keep, n_sites: int | None = None) -> np.ndarray:

@@ -18,7 +18,7 @@ from math import comb, sqrt
 
 import numpy as np
 
-from .qops import LOWER, RAISE, embed
+from .qops import RAISE, embed
 
 
 @dataclass(frozen=True)
@@ -101,16 +101,19 @@ def build_star_hamiltonian(spec: StarSpec, form: str = "ladder") -> np.ndarray:
     n_sites = n + 1
     if n_sites > 14:
         raise ValueError("dense star limited to 14 sites total")
+    if form not in ("ladder", "xy"):
+        raise ValueError("form must be 'ladder' or 'xy'")
     dim = 2 ** n_sites
     h = np.zeros((dim, dim), dtype=complex)
+    index = np.arange(dim)
+    central = 1 << (n_sites - 1)   # site 0 is the leftmost bit
+    strength = spec.coupling * (2.0 if form == "xy" else 1.0)
     for outer in range(1, n_sites):
-        up0_down_i = embed(RAISE, 0, n_sites) @ embed(LOWER, outer, n_sites)
-        h += up0_down_i + up0_down_i.conj().T
-    h *= spec.coupling
-    if form == "xy":
-        h *= 2.0
-    elif form != "ladder":
-        raise ValueError("form must be 'ladder' or 'xy'")
+        bit = 1 << (n_sites - 1 - outer)
+        # s0+ s_i- flips |0 at site 0, 1 at site i> to |1, 0>
+        src = index[((index & central) == 0) & ((index & bit) != 0)]
+        dst = src ^ (central | bit)
+        h[dst, src] = h[src, dst] = strength
     return h
 
 

@@ -148,16 +148,15 @@ def test_degenerate_scan_grid_exits_2(tmp_path, capsys, flags):
         assert capsys.readouterr().err.startswith("spinstar-error code=2 kind=config")
 
 
-def test_jobs_leave_hash_and_outputs_unchanged(tmp_path):
-    docs = []
-    for jobs in ("1", "2"):
-        out = tmp_path / jobs
-        code = main(["sweep", "--ms", "2,3", *FAST, "--jobs", jobs,
-                     "--outdir", str(out)])
-        assert code == EXIT_OK
-        man = json.loads((out / "manifest.json").read_text())
-        docs.append((man["config_sha256"], (out / "fig4b.csv").read_bytes()))
-    assert docs[0] == docs[1]
+def test_jobs_is_no_longer_a_key(tmp_path, capsys):
+    # campaigns run in one process; the worker-count key went with the pool
+    assert run_cli(tmp_path, "disorder", "--ms", "3", "--runs", "1", *FAST,
+                   "--jobs", "2") == EXIT_CONFIG
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("jobs = 2\n")
+    assert run_cli(tmp_path, "sweep", "--config", str(cfg)) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("spinstar-error code=2 kind=config")
 
 
 def test_flag_overrides_config_file(tmp_path):

@@ -128,12 +128,6 @@ def test_disorder_mean_is_continuous_in_the_variance():
     assert rel[0.01] < rel[0.25]
 
 
-def test_disorder_parallel_jobs_agree():
-    serial = disorder_monte_carlo([3], NOISE, runs=4, seed=11, **FAST)
-    parallel = disorder_monte_carlo([3], NOISE, runs=4, seed=11, jobs=2, **FAST)
-    assert serial == parallel
-
-
 def test_loss_study_single_loss_m5():
     report = loss_study(5, NOISE, 1, **FAST)
     assert report.configs == ((1,), (2,), (3,), (4,), (5,))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from spinstar import lindblad
 from spinstar.chain import (
     ChainSpec,
     DisorderSpec,
@@ -197,6 +198,90 @@ def test_sector_trajectory_matches_scan_grid(spec, t2):
     grid = np.delete(result.curve_ef,
                      np.searchsorted(result.curve_kt, result.tau_star_kt))
     assert np.abs(grid - e_f).max() < 1e-12
+
+
+def _arm_propagator(spec, noise):
+    return SectorPropagator(single_excitation_matrix(build_coupling_graph(spec)), noise)
+
+
+def test_branch_by_arm_size():
+    # n = M + 2 sites less the lost ones; the crossovers sit at n^2 = 169
+    # on the grid and n^2 = 49 in advance
+    noise = NoiseSpec(t2_s=1e-3)
+    for m in range(1, 16):
+        prop = _arm_propagator(ChainSpec(m_chain=m), noise)
+        assert prop.dense_grid == (m <= 11), m
+        assert prop.dense_advance == (m <= 5), m
+    lossy = _arm_propagator(ChainSpec(m_chain=12, lost_sites={4}), noise)
+    assert lossy.dense_grid and not lossy.dense_advance
+    lossy = _arm_propagator(ChainSpec(m_chain=6, lost_sites={2}), noise)
+    assert lossy.dense_advance
+
+
+DENSE_ORACLE_ARMS = [ChainSpec(m_chain=m) for m in range(1, 14)] + [
+    ChainSpec(m_chain=7, lost_sites={3}),
+    ChainSpec(m_chain=12, lost_sites={2, 9}),
+    ChainSpec(m_chain=5, disorder=DisorderSpec(variance_nm2=0.25, seed=3)),
+    ChainSpec(m_chain=13, disorder=DisorderSpec(variance_nm2=0.25, seed=8)),
+]
+
+
+@pytest.mark.parametrize("t2", [math.inf, 1e-3])
+@pytest.mark.parametrize("spec", DENSE_ORACLE_ARMS,
+                         ids=lambda s: f"m{s.m_chain}-lost{len(s.lost_sites)}"
+                                       f"-dis{int(s.disorder is not None)}")
+def test_dense_branch_matches_expm_multiply(spec, t2, monkeypatch):
+    # every arm up to two sizes past each crossover, on both branches
+    noise = NoiseSpec(t2_s=t2)
+    props = []
+    for limit in (10 ** 6, 0):
+        monkeypatch.setattr(lindblad, "DENSE_GRID_MAX", limit)
+        monkeypatch.setattr(lindblad, "DENSE_ADVANCE_MAX", limit)
+        props.append(_arm_propagator(spec, noise))
+    dense, sparse = props
+    assert dense.dense_grid and dense.dense_advance
+    assert not (sparse.dense_grid or sparse.dense_advance)
+    state0 = initial_transfer_state(spec)
+    n = state0.n_sites
+    window = default_window_s(spec)
+    probes = np.random.default_rng(spec.m_chain).normal(size=(n * n, 3))
+    for kwargs in ({}, {"probes": probes}):
+        t_d, v_d, k_d, cols_d = dense.on_grid(state0.block11, window, 201, **kwargs)
+        t_s, v_s, k_s, cols_s = sparse.on_grid(state0.block11, window, 201, **kwargs)
+        assert np.array_equal(t_d, t_s) and k_d == k_s
+        assert np.abs(v_d - v_s).max() < 1e-12 * max(1.0, np.abs(v_s).max())
+        assert np.abs(cols_d - cols_s).max() < 1e-12
+    for t in (0.0, window / 200, 0.37 * window):
+        a, b = dense.advance(state0, t), sparse.advance(state0, t)
+        assert np.abs(a.block11 - b.block11).max() < 1e-12
+        assert np.abs(a.block01 - b.block01).max() < 1e-12
+
+
+def test_dense_branch_matches_full_space_on_random_arms():
+    # seeded random short arms against the full-space RK45 oracle at A3's bound
+    rng = np.random.default_rng(20240611)
+    for _ in range(5):
+        m = int(rng.integers(1, 5))
+        lost = frozenset({int(rng.integers(1, m + 1))}) if rng.random() < 0.5 else frozenset()
+        disorder = (DisorderSpec(variance_nm2=float(rng.uniform(0.05, 0.5)),
+                                 seed=int(rng.integers(2 ** 31)))
+                    if rng.random() < 0.5 else None)
+        t2 = math.inf if rng.random() < 0.3 else float(rng.uniform(0.5e-3, 2e-3))
+        register = str(rng.choice(["plus", "one"]))
+        spec = ChainSpec(m_chain=m, lost_sites=lost, disorder=disorder)
+        noise = NoiseSpec(t2_s=t2)
+        prop = _arm_propagator(spec, noise)
+        assert prop.dense_grid and prop.dense_advance
+        kwargs = dict(n_samples=21, register_state=register)
+        full = evolve_chain(spec, noise, method="full", rtol=1e-10, atol=1e-14, **kwargs)
+        sect = evolve_chain(spec, noise, method="sector", **kwargs)
+        dev = max(np.abs(a - b.to_full()).max()
+                  for a, b in zip(full.states, sect.states))
+        assert dev < 1e-8, (spec, t2, register)
+        k = int(rng.integers(1, 21))
+        state0 = initial_transfer_state(spec, register)
+        direct = prop.advance(state0, full.times_s[k]).to_full()
+        assert np.abs(direct - full.states[k]).max() < 1e-8, (spec, t2, register)
 
 
 def test_excitation_number_is_flat():

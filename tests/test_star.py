@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spinstar.qops import commutator, ket2dm, number_operator
+from spinstar.qops import LOWER, RAISE, commutator, embed, ket2dm, number_operator
 from spinstar.star import (
     CollectiveState,
     StarSpec,
@@ -43,6 +43,20 @@ def test_xy_form_is_twice_the_ladder_form():
     spec = StarSpec(3, 1.3)
     assert np.allclose(build_star_hamiltonian(spec, form="xy"),
                        2 * build_star_hamiltonian(spec, form="ladder"))
+
+
+@pytest.mark.parametrize("form", ["ladder", "xy"])
+def test_index_construction_matches_operator_products(form):
+    # the flip-flop sum built from embedded single-site ladder operators
+    for n in range(1, 8):
+        spec = StarSpec(n, 1.7)
+        sites = n + 1
+        product = np.zeros((2 ** sites, 2 ** sites), dtype=complex)
+        for outer in range(1, sites):
+            term = embed(RAISE, 0, sites) @ embed(LOWER, outer, sites)
+            product += term + term.conj().T
+        product *= spec.coupling * (2.0 if form == "xy" else 1.0)
+        assert np.array_equal(build_star_hamiltonian(spec, form), product), n
 
 
 def test_analytic_level_examples():
