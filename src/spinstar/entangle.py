@@ -20,6 +20,7 @@ import numpy as np
 from .chain import ChainSpec, build_coupling_graph, single_excitation_matrix
 from .lindblad import (
     N_SAMPLES_DEFAULT,
+    IntegrationError,
     NoiseSpec,
     SectorPropagator,
     SectorState,
@@ -28,7 +29,13 @@ from .lindblad import (
     default_window_s,
     initial_transfer_state,
 )
-from .qops import assert_density, partial_trace, pauli
+from .qops import (
+    DENSITY_HERMITIAN_TOL,
+    DENSITY_TRACE_TOL,
+    assert_density,
+    partial_trace,
+    pauli,
+)
 
 _YY = np.kron(pauli("y"), pauli("y"))
 # eigenvalues this far below zero are treated as rounding noise; RK45
@@ -65,13 +72,51 @@ def eof(rho: np.ndarray) -> float:
     return eof_from_concurrence(concurrence(rho))
 
 
+def assert_sector_pairs(pairs: np.ndarray) -> None:
+    """Check a stack of register-pair states, shape (..., 4, 4), in closed form.
+
+    Each state must be finite, Hermitian and of unit trace at the qops
+    density tolerances, and carry no |11> weight: its |11> row and column are
+    zero, the precondition of C = 2|rho_{10,01}|.  Its 3x3 support A then
+    has no eigenvalue below -_CLAMP_TOL exactly when all seven principal
+    minors of ``A + _CLAMP_TOL*I`` are non-negative.  A state that fails
+    came out of a propagation, so this raises IntegrationError.
+    """
+    pairs = np.asarray(pairs)
+    if pairs.shape[-2:] != (4, 4):
+        raise ValueError("register-pair states are 4x4")
+    if not np.isfinite(pairs).all():
+        raise IntegrationError("register-pair state is not finite")
+    adj = np.swapaxes(pairs, -1, -2).conj()
+    if np.abs(pairs - adj).max() > DENSITY_HERMITIAN_TOL:
+        raise IntegrationError("register-pair state is not Hermitian")
+    tr = np.ravel(np.trace(pairs, axis1=-2, axis2=-1))
+    bad = np.abs(tr - 1.0) > DENSITY_TRACE_TOL
+    if bad.any():
+        raise IntegrationError(f"register-pair state trace {tr[bad][0]} deviates from 1")
+    if np.any(pairs[..., 3, :]) or np.any(pairs[..., :, 3]):
+        raise IntegrationError("register-pair state has |11> weight")
+    d0, d1, d2 = (pairs[..., i, i].real + _CLAMP_TOL for i in range(3))
+    a01, a02, a12 = ((pairs[..., i, j] + adj[..., i, j]) / 2
+                     for i, j in ((0, 1), (0, 2), (1, 2)))
+    s01, s02, s12 = np.abs(a01) ** 2, np.abs(a02) ** 2, np.abs(a12) ** 2
+    minors = np.stack([
+        d0, d1, d2, d0 * d1 - s01, d0 * d2 - s02, d1 * d2 - s12,
+        d0 * d1 * d2 + 2.0 * (a01 * a12 * a02.conj()).real
+        - d0 * s12 - d1 * s02 - d2 * s01,
+    ])
+    if minors.min() < 0:
+        raise IntegrationError(
+            f"register-pair state has an eigenvalue below -{_CLAMP_TOL:.0e}")
+
+
 def sector_pair_eof(pairs: np.ndarray) -> np.ndarray:
     """E_F of a stack of register-pair states without |11> weight.
 
-    Every state is checked as a density matrix; E_F comes from the
+    Every state passes :func:`assert_sector_pairs`; E_F comes from the
     concurrence 2|rho_{10,01}|, exact for such states.
     """
-    assert_density(pairs, eig_tol=_CLAMP_TOL)
+    assert_sector_pairs(pairs)
     return eof_from_concurrence(2.0 * np.abs(pairs[..., 2, 1]))
 
 
@@ -172,30 +217,40 @@ def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
     return x, f(x)
 
 
-def _coarse_pass(prop: SectorPropagator, state0: SectorState, window: float,
-                 n_samples: int) -> tuple:
-    """E_F of the register pair on a uniform grid over [0, window].
-
-    Only four readings of B enter a pair state: tr B, B[0,0],
-    B[last,last] and B[0,last].  :meth:`SectorPropagator.on_grid` carries
-    the four probe rows that read them rather than the whole block.
-    E_F comes from :func:`sector_pair_eof`, which reads B[0,last].
-
-    Returns (times, E_F, K, B at the long strides iK dt).
-    """
-    n = state0.n_sites
+def _probe_rows(n: int) -> np.ndarray:
+    """The (n^2, 4) rows r whose readings r^T vec(B) give tr B, B[0,0],
+    B[last,last] and B[0,last], the only entries of B a pair state reads."""
     last = n - 1
     probes = np.zeros((n * n, 4))
     probes[np.arange(n) * (n + 1), 0] = 1.0
     probes[0, 1] = 1.0
     probes[last * (n + 1), 2] = 1.0
     probes[last, 3] = 1.0
-    times, readings, k, blocks = prop.on_grid(state0.block11, window, n_samples,
-                                              probes)
+    return probes
+
+
+def _probe_pairs(prop: SectorPropagator, state0: SectorState, times,
+                 readings: np.ndarray) -> np.ndarray:
+    """Register-pair states at `times` from the probe readings there."""
     trace, pop0, pop_last, b0l = readings.T
     coh = prop.coherences(state0.block01, times)
-    pairs = _pair_states(state0.block00, trace, pop0, pop_last,
-                         coh[:, 0], coh[:, last], b0l)
+    return _pair_states(state0.block00, trace, pop0, pop_last,
+                        coh[:, 0], coh[:, -1], b0l)
+
+
+def _coarse_pass(prop: SectorPropagator, state0: SectorState, window: float,
+                 n_samples: int) -> tuple:
+    """E_F of the register pair on a uniform grid over [0, window].
+
+    :meth:`SectorPropagator.on_grid` carries the four probe rows of
+    :func:`_probe_rows` rather than the whole block.  E_F comes from
+    :func:`sector_pair_eof`, which reads B[0,last].
+
+    Returns (times, E_F, K, B at the long strides iK dt).
+    """
+    times, readings, k, blocks = prop.on_grid(state0.block11, window, n_samples,
+                                              _probe_rows(state0.n_sites))
+    pairs = _probe_pairs(prop, state0, times, readings)
     return times, sector_pair_eof(pairs), k, blocks
 
 
@@ -210,9 +265,13 @@ def max_entanglement_scan(
 
     A coarse pass evaluates `n_samples` equally spaced times exactly
     (doubling the window once if the maximum lands in the final 5% of
-    samples); a golden-section search on exactly propagated states, read
-    through the general concurrence, then locates tau* to TAU_REFINE_KT
-    in kappa*t, and the register pair is read once more at tau*.
+    samples).  The block is then advanced once, to the grid point `lo`
+    before the maximum, and :meth:`SectorPropagator.probe_series` tables
+    the four probe readings over [lo, hi] up to the grid point after it.
+    A golden-section search on that table, reading E_F from the closed-form
+    concurrence 2|B[0,last]|, locates tau* to TAU_REFINE_KT in kappa*t.
+    Every visited state and the pair at tau* are checked together by
+    :func:`assert_sector_pairs` before the result is returned.
     """
     window = default_window_s(spec) if t_end is None else t_end
     check_grid(window, n_samples)
@@ -238,14 +297,19 @@ def max_entanglement_scan(
     at_col = SectorState(state0.block00, prop.coherences(state0.block01, [t_col])[0],
                          blocks[col])
     at_lo = prop.advance(at_col, lo - t_col)
+    series = prop.probe_series(at_lo.block11, hi - lo, _probe_rows(state0.n_sites))
+    visited = []
 
     def ef_at(t: float) -> float:
-        return eof(pair_state_from_sector(prop.advance(at_lo, t - lo)))
+        visited.append(t)
+        return eof_from_concurrence(2.0 * abs(series([t - lo])[0, 3]))
 
     tau_star, e_star = _golden_max(ef_at, lo, hi, TAU_REFINE_KT / kappa)
     if efs[i_max] >= e_star:   # never report worse than the grid
         tau_star, e_star = times[i_max], float(efs[i_max])
-    pair = pair_state_from_sector(prop.advance(at_lo, tau_star - lo))
+    checked = np.array(visited + [tau_star])
+    pairs = _probe_pairs(prop, state0, checked, series(checked - lo))
+    assert_sector_pairs(pairs)
 
     insert = int(np.searchsorted(times, tau_star))
     curve_t = np.insert(times, insert, tau_star)
@@ -258,6 +322,6 @@ def max_entanglement_scan(
         curve_ef=curve_e,
         interior=interior,
         extended=extended,
-        pair_state=pair,
+        pair_state=pairs[-1],
         kappa_angular=kappa,
     )

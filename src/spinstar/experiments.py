@@ -14,7 +14,7 @@ import zlib
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import curve_fit
+from scipy.optimize import brentq, curve_fit
 
 from .chain import ChainSpec, DisorderSpec, loss_configurations, validate_star_geometry, GeometryError
 from .entangle import EmResult, max_entanglement_scan
@@ -87,11 +87,11 @@ class FitResult:
 
 
 def _fit_linear_given_b(b: float, ms, inv_t2s, logs):
+    """(coef, residuals, x) of the linear fit of logs on x = (1/t2)^b m."""
     x = (inv_t2s ** b) * ms
     design = np.column_stack([np.ones_like(x), -x])
     coef, *_ = np.linalg.lstsq(design, logs, rcond=None)
-    resid = logs - design @ coef
-    return coef, float(resid @ resid)
+    return coef, logs - design @ coef, x
 
 
 def fit_exponential(points, b_bounds: tuple = (0.05, 3.0)) -> FitResult:
@@ -100,10 +100,13 @@ def fit_exponential(points, b_bounds: tuple = (0.05, 3.0)) -> FitResult:
     `points` holds (m, t2_s, e_m) rows over a grid with at least three
     distinct lengths and three distinct coherence times.  The exponent b
     is located by golden-section search with a closed-form linear
-    subproblem; bounds widen automatically if the optimum pins one.
-    Nonpositive e_m rows are dropped with a warning.
+    subproblem; bounds widen automatically if the optimum pins one.  The
+    golden section stalls where SSE differences drop below rounding, so
+    b is then polished on the root of dSSE/db.  Nonpositive e_m rows are
+    dropped with a warning; rows are sorted, so their order does not
+    reach the result.
     """
-    rows = [(int(m), float(t2), float(em)) for m, t2, em in points]
+    rows = sorted((int(m), float(t2), float(em)) for m, t2, em in points)
     usable = [r for r in rows if r[2] > 0]
     if len(usable) < len(rows):
         warnings.warn(f"dropping {len(rows) - len(usable)} nonpositive e_m rows")
@@ -119,7 +122,13 @@ def fit_exponential(points, b_bounds: tuple = (0.05, 3.0)) -> FitResult:
     invphi = (math.sqrt(5) - 1) / 2
 
     def sse(b):
-        return _fit_linear_given_b(b, ms, inv, logs)[1]
+        resid = _fit_linear_given_b(b, ms, inv, logs)[1]
+        return float(resid @ resid)
+
+    def dsse(b):
+        # envelope theorem: only x moves with b at the linear optimum
+        coef, resid, x = _fit_linear_given_b(b, ms, inv, logs)
+        return 2.0 * coef[1] * float(resid @ (np.log(inv) * x))
 
     for _ in range(12):  # widen while the optimum pins a bound
         a_, b_ = lo, hi
@@ -144,12 +153,18 @@ def fit_exponential(points, b_bounds: tuple = (0.05, 3.0)) -> FitResult:
         else:
             break
 
-    coef, best = _fit_linear_given_b(b_opt, ms, inv, logs)
+    for width in (1e-8, 1e-7, 1e-6, 1e-5, 1e-4):
+        left, right = max(b_opt - width, lo), min(b_opt + width, hi)
+        if dsse(left) < 0 < dsse(right):
+            b_opt = brentq(dsse, left, right, xtol=1e-15)
+            break
+
+    coef, resid, _ = _fit_linear_given_b(b_opt, ms, inv, logs)
     return FitResult(
         prefactor=float(np.exp(coef[0])),
         a=float(coef[1]),
         b=float(b_opt),
-        residual=math.sqrt(best / len(usable)),
+        residual=math.sqrt(float(resid @ resid) / len(usable)),
     )
 
 
@@ -301,6 +316,21 @@ def gradient_coherence(
     return 2.0 * (coherence * np.exp(1j * (wb - wa) * times)).real
 
 
+def _sinusoid_sse(t: np.ndarray, y: np.ndarray, w_grid: np.ndarray) -> np.ndarray:
+    """Least-squares residual of y against a*cos(w t) + b*sin(w t), per w.
+
+    One stacked SVD of the (w, t, 2) bases; singular values below
+    lstsq's default cutoff eps*max(T, 2)*sigma_max are dropped, as
+    ``lstsq(rcond=None)`` drops them.
+    """
+    phase = w_grid[:, None] * t
+    u, sv, _ = np.linalg.svd(np.stack([np.cos(phase), np.sin(phase)], axis=-1),
+                             full_matrices=False)
+    keep = sv > np.finfo(float).eps * max(len(t), 2) * sv[:, :1]
+    r = y - np.einsum("wtk,wk->wt", u, np.einsum("wtk,t->wk", u, y) * keep)
+    return np.einsum("wt,wt->w", r, r)
+
+
 def estimate_gradient(
     times_s, series, gamma: float = GAMMA_NV, d_nm: float = 50.0,
     min_amplitude: float = 0.05,
@@ -323,20 +353,13 @@ def estimate_gradient(
     # coarse search over frequencies resolvable on the grid
     dt = np.diff(t).min()
     w_grid = np.linspace(math.pi / span, math.pi / dt, 2048)
-
-    def sse(w):
-        basis = np.column_stack([np.cos(w * t), np.sin(w * t)])
-        coef, *_ = np.linalg.lstsq(basis, y, rcond=None)
-        r = y - basis @ coef
-        return r @ r, coef
-
-    errs = [sse(w)[0] for w in w_grid]
-    w0 = float(w_grid[int(np.argmin(errs))])
+    w0 = float(w_grid[int(np.argmin(_sinusoid_sse(t, y, w_grid)))])
 
     def model(tt, amp, w, phi):
         return amp * np.cos(w * tt + phi)
 
-    _, coef = sse(w0)
+    coef, *_ = np.linalg.lstsq(np.column_stack([np.cos(w0 * t), np.sin(w0 * t)]), y,
+                               rcond=None)
     a0 = float(np.hypot(*coef))
     phi0 = float(math.atan2(-coef[1], coef[0]))
     popt, _ = curve_fit(model, t, y, p0=(a0, w0, phi0), maxfev=20000)

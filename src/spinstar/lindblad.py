@@ -43,7 +43,7 @@ WINDOW_KT = 40.0
 
 
 class IntegrationError(RuntimeError):
-    """The integrator failed or violated a conservation bound."""
+    """The propagation failed or produced a state that violates a physical bound."""
 
 
 @dataclass(frozen=True)
@@ -277,13 +277,20 @@ def evolve(
 #  13   225 |    78   24.2  |   216   36.4  |  0.47  8.63  |  1.58  7.78
 #  15   289 |    94   48.8  |   280   63.7  |  0.48  16.9  |  2.05  12.8
 #
-# Each refinement point is one advance, so its dense exponential pays
-# only while it costs less than one expm_multiply call: n^2 <= 49.  On
-# the grid the dense branch stays faster past M = 15, but its working
-# set grows as n^4 (expm holds several n^2 x n^2 arrays); stopping at
-# n^2 = 169 keeps it within a few MB.
+# advance carries one state per call (a scan calls it once, to the start
+# of its refinement), so its dense exponential pays only while it costs
+# less than one expm_multiply call: n^2 <= 49.  On the grid the dense
+# branch stays faster past M = 15, but its working set grows as n^4
+# (expm holds several n^2 x n^2 arrays); stopping at n^2 = 169 keeps it
+# within a few MB.
 DENSE_GRID_MAX = 169
 DENSE_ADVANCE_MAX = 49
+
+# Degree of probe_series.  On pieces of width s with ||L||_1 s <= 1 the
+# terms past this degree sum below 1/19! * (1 + 1/20 + ...) < 2^-53
+# relative to ||vec B||_1, so the series is exact in double precision.
+SERIES_DEGREE = 18
+_INV_FACTORIALS = 1.0 / np.array([math.factorial(k) for k in range(SERIES_DEGREE + 1)])
 
 
 def _powers(p: np.ndarray, x: np.ndarray, count: int) -> np.ndarray:
@@ -293,6 +300,41 @@ def _powers(p: np.ndarray, x: np.ndarray, count: int) -> np.ndarray:
     for j in range(1, count):
         out[j] = p @ out[j - 1]
     return out
+
+
+class ProbeSeries:
+    """Readings ``probes^T vec(B(t))`` of one block over [0, span], piecewise Taylor.
+
+    [0, span] is cut into `pieces` of width s with ||L||_1 s <= 1.  Piece
+    j holds ``table[j][k] = probes^T (L s)^k / k! vec(B(j s))`` for k up
+    to SERIES_DEGREE, and the readings at ``(j + x) s``, 0 <= x <= 1, are
+    ``sum_k table[j][k] x^k``.  A piece is tabled the first time a reading
+    falls in it, from one exact step of B(0) to its start, so the cost
+    follows the pieces read rather than the length of the span.
+    """
+
+    def __init__(self, prop: SectorPropagator, block11: np.ndarray, span: float,
+                 probes: np.ndarray):
+        norm = float(abs(prop.liouvillian).sum(axis=0).max())
+        self.pieces = max(1, math.ceil(norm * span))
+        self.width = span / self.pieces
+        self.table: dict = {}
+        self._prop, self._start, self._probes = prop, block11.ravel(), probes
+        self._step = prop.liouvillian * self.width
+
+    def _piece(self, j: int) -> np.ndarray:
+        if j not in self.table:
+            v = self._start if j == 0 else self._prop._carry(self._start, j * self.width)
+            terms = _powers(self._step, v, SERIES_DEGREE + 1) * _INV_FACTORIALS[:, None]
+            self.table[j] = terms @ self._probes
+        return self.table[j]
+
+    def __call__(self, offsets) -> np.ndarray:
+        """Readings at `offsets` (seconds from the start); shape (len(offsets), p)."""
+        u = np.asarray(offsets, dtype=float) / self.width
+        j = np.clip(np.floor(u).astype(int), 0, self.pieces - 1)
+        x = (u - j)[:, None] ** np.arange(SERIES_DEGREE + 1)
+        return np.einsum("mk,mkp->mp", x, np.stack([self._piece(i) for i in j]))
 
 
 class SectorPropagator:
@@ -311,6 +353,8 @@ class SectorPropagator:
     (`dense_grid`), in :meth:`advance` while n^2 <= DENSE_ADVANCE_MAX
     (`dense_advance`).  Otherwise ``L`` is sparse and carried by the
     action of its exponential (``expm_multiply``, Al-Mohy & Higham 2011).
+    :meth:`probe_series`, the scan's refinement, forms products ``L @ v``
+    and exact steps only, and is the same on both branches.
     """
 
     def __init__(self, h1: np.ndarray, noise: NoiseSpec):
@@ -341,15 +385,26 @@ class SectorPropagator:
         amp = self.modes.conj().T @ block01
         return (np.exp(-(1j * self.energies + 2.0 * self.gamma) * t) * amp) @ self.modes.T
 
+    def _carry(self, vec: np.ndarray, t: float) -> np.ndarray:
+        """vec(B) evolved by `t` seconds."""
+        if self.dense_advance:
+            return expm(self.liouvillian * t) @ vec
+        return expm_multiply(self._sparse * t, vec)
+
     def advance(self, state: SectorState, t: float) -> SectorState:
         """`state` evolved by `t` seconds."""
         n = state.n_sites
-        if self.dense_advance:
-            block11 = expm(self.liouvillian * t) @ state.block11.ravel()
-        else:
-            block11 = expm_multiply(self._sparse * t, state.block11.ravel())
         return SectorState(state.block00, self.coherences(state.block01, [t])[0],
-                           block11.reshape(n, n))
+                           self._carry(state.block11.ravel(), t).reshape(n, n))
+
+    def probe_series(self, block11: np.ndarray, span: float,
+                     probes: np.ndarray) -> ProbeSeries:
+        """Readings ``probes^T vec(B(t))`` for t in [0, span], from B(0) = `block11`.
+
+        Only products ``L @ v`` and exact steps form them, so the dense
+        and the sparse branch share this; see :class:`ProbeSeries`.
+        """
+        return ProbeSeries(self, block11, span, probes)
 
     def on_grid(self, block11: np.ndarray, window: float, n_samples: int,
                 probes: np.ndarray | None = None) -> tuple:

@@ -7,6 +7,7 @@ import pytest
 from spinstar.cli import (
     DEFAULTS,
     EXIT_CONFIG,
+    EXIT_NUMERIC,
     EXIT_OK,
     EXIT_PHYSICS,
     RunConfig,
@@ -15,6 +16,7 @@ from spinstar.cli import (
     main,
     parse_config_file,
 )
+from spinstar.lindblad import SectorPropagator
 from spinstar.star import StarSpec, star_spectrum_analytic
 
 FAST = ["--samples", "301"]
@@ -146,6 +148,25 @@ def test_degenerate_scan_grid_exits_2(tmp_path, capsys, flags):
         code = run_cli(tmp_path, command, "--m", "3", *flags)
         assert code == EXIT_CONFIG, command
         assert capsys.readouterr().err.startswith("spinstar-error code=2 kind=config")
+
+
+def test_corrupted_propagation_exits_4(tmp_path, capsys, monkeypatch):
+    # a propagated pair state that fails its density check is a numerical
+    # failure: B[0,last] beyond sqrt(B[0,0] B[last,last]) is not positive
+    on_grid = SectorPropagator.on_grid
+
+    def corrupted(self, *args, **kwargs):
+        times, values, k, cols = on_grid(self, *args, **kwargs)
+        if values.ndim == 3:    # whole blocks, for evolve
+            values[:, 0, -1] += 0.6
+        else:                   # probe readings, for scan
+            values[:, 3] += 0.6
+        return times, values, k, cols
+
+    monkeypatch.setattr(SectorPropagator, "on_grid", corrupted)
+    for command in ("scan", "evolve"):
+        assert run_cli(tmp_path, command, "--m", "3", *FAST) == EXIT_NUMERIC, command
+        assert capsys.readouterr().err.startswith("spinstar-error code=4 kind=numeric")
 
 
 def test_jobs_is_no_longer_a_key(tmp_path, capsys):

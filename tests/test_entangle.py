@@ -10,7 +10,10 @@ from spinstar.chain import (
     single_excitation_matrix,
 )
 from spinstar.entangle import (
+    TAU_REFINE_KT,
     EmResult,
+    _golden_max,
+    assert_sector_pairs,
     concurrence,
     eof,
     eof_from_concurrence,
@@ -20,6 +23,7 @@ from spinstar.entangle import (
 )
 from spinstar.experiments import distributed_pair
 from spinstar.lindblad import (
+    IntegrationError,
     NoiseSpec,
     SectorPropagator,
     default_window_s,
@@ -275,3 +279,117 @@ def test_scan_reproduces_pinned_maxima(m, t2, e_m, tau_kt):
 def test_scan_rejects_degenerate_grids(kwargs):
     with pytest.raises(ValueError):
         max_entanglement_scan(ChainSpec(m_chain=3), NoiseSpec(t2_s=1e-3), **kwargs)
+
+
+REFINE_CASES = [
+    (ChainSpec(m_chain=3), 201),
+    (ChainSpec(m_chain=7, lost_sites=frozenset({3})), 201),
+    (ChainSpec(m_chain=5, disorder=DisorderSpec(variance_nm2=0.25, seed=5)), 201),
+    (ChainSpec(m_chain=13), 201),
+    (ChainSpec(m_chain=3), 2),      # [lo, hi] is the whole window
+    (ChainSpec(m_chain=11), 3),
+]
+
+
+@pytest.mark.parametrize("t2", [math.inf, 1e-3])
+@pytest.mark.parametrize("spec, n", REFINE_CASES,
+                         ids=lambda v: f"n{v}" if isinstance(v, int) else
+                         f"m{v.m_chain}-lost{len(v.lost_sites)}-dis{int(v.disorder is not None)}")
+def test_refinement_matches_advance_and_wootters(spec, n, t2):
+    # the oracle refines as the scan did before its probe series: each
+    # golden-section point is an exact advance read through the general
+    # Wootters concurrence
+    noise = NoiseSpec(t2_s=t2)
+    result = max_entanglement_scan(spec, noise, n_samples=n)
+    window = default_window_s(spec) * (2.0 if result.extended else 1.0)
+    traj = evolve_chain(spec, noise, t_end=window, n_samples=n)
+    efs = np.array([eof(p) for p in register_pair_state(traj)])
+    i_max = int(np.argmax(efs))
+    k_lo = max(i_max - 1, 0)
+    lo, hi = traj.times_s[k_lo], traj.times_s[min(i_max + 1, n - 1)]
+    prop = SectorPropagator(single_excitation_matrix(build_coupling_graph(spec)), noise)
+
+    def ef_at(t):
+        return eof(pair_state_from_sector(prop.advance(traj.states[k_lo], t - lo)))
+
+    tau, e_star = _golden_max(ef_at, lo, hi, TAU_REFINE_KT / spec.kappa_angular)
+    if efs[i_max] >= e_star:
+        tau, e_star = traj.times_s[i_max], efs[i_max]
+    assert abs(result.e_m - e_star) < 1e-12
+    assert abs(result.tau_star_kt - spec.kappa_angular * tau) <= TAU_REFINE_KT
+    pair = pair_state_from_sector(prop.advance(traj.states[k_lo], result.tau_star_s - lo))
+    assert np.abs(result.pair_state - pair).max() < 1e-12
+
+
+def _support_state(rng, eigenvalues):
+    """A pair state on the 3x3 support {00, 01, 10} with the given spectrum."""
+    g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    q, _ = np.linalg.qr(g)
+    rho = np.zeros((4, 4), dtype=complex)
+    rho[:3, :3] = (q * eigenvalues) @ q.conj().T
+    rho[:3, :3] = (rho[:3, :3] + rho[:3, :3].conj().T) / 2
+    return rho
+
+
+def test_closed_form_check_agrees_with_eigvalsh():
+    # states whose smallest eigenvalue sits 1e-9 on either side of -1e-7
+    rng = np.random.default_rng(31)
+    verdicts = []
+    for k in range(400):
+        low = -1e-7 + (1e-9 if k % 2 else -1e-9)
+        mid = rng.uniform(0.05, 0.6)
+        rho = _support_state(rng, np.array([low, mid, 1.0 - low - mid]))
+        accept = np.linalg.eigvalsh(rho).min() >= -1e-7
+        try:
+            assert_sector_pairs(rho)
+            passed = True
+        except IntegrationError:
+            passed = False
+        assert passed == accept, k
+        verdicts.append(accept)
+    assert sum(verdicts) == 200   # both verdicts are exercised
+    # a stack fails when any one state fails
+    good = _support_state(rng, np.array([0.2, 0.3, 0.5]))
+    bad = _support_state(rng, np.array([-1e-6, 0.3, 0.7 + 1e-6]))
+    assert_sector_pairs(np.stack([good, good]))
+    with pytest.raises(IntegrationError):
+        assert_sector_pairs(np.stack([good, bad]))
+
+
+def test_closed_form_check_rejects_what_the_identity_needs():
+    # |11> weight or coherence, a skew part, a bad trace, a non-finite entry
+    rng = np.random.default_rng(5)
+    good = _support_state(rng, np.array([0.1, 0.3, 0.6]))
+    assert_sector_pairs(good)
+    weight = good * 0.9
+    weight[3, 3] = 0.1                  # a valid state, but with |11> weight
+    coherent = good.copy()
+    coherent[3, 0] = coherent[0, 3] = 1e-12
+    skew = good.copy()
+    skew[0, 1] += 1e-6                  # not Hermitian
+    lost = good.copy()
+    lost[1, 2] = lost[2, 1] = np.nan
+    for rho in (weight, coherent, skew, 1.01 * good, lost):
+        with pytest.raises(IntegrationError):
+            assert_sector_pairs(rho)
+    with pytest.raises(ValueError):
+        assert_sector_pairs(np.eye(2) / 2)
+
+
+def test_refinement_checks_every_visited_state(monkeypatch):
+    # the coarse grid is sound; a corrupted refinement table must not
+    # reach the result
+    probe_series = SectorPropagator.probe_series
+
+    def corrupted(self, *args):
+        series = probe_series(self, *args)
+
+        def readings(offsets):
+            values = series(offsets)
+            values[:, 3] += 0.6     # B[0,last] beyond positivity
+            return values
+        return readings
+
+    monkeypatch.setattr(SectorPropagator, "probe_series", corrupted)
+    with pytest.raises(IntegrationError):
+        max_entanglement_scan(ChainSpec(m_chain=3), NoiseSpec(t2_s=1e-3), n_samples=201)

@@ -9,6 +9,7 @@ from spinstar.experiments import (
     GAMMA_NV,
     EstimationError,
     GradientSpec,
+    _sinusoid_sse,
     disorder_monte_carlo,
     distributed_pair,
     estimate_gradient,
@@ -77,6 +78,19 @@ def test_fit_widens_pinned_bounds():
            for m in (3, 5, 7, 9) for t2 in (0.25e-3, 0.5e-3, 1e-3, 2e-3)]
     fit = fit_exponential(pts, b_bounds=(0.05, 1.0))   # optimum above hi
     assert abs(fit.b - 1.8) < 1e-3
+
+
+def test_fit_exponent_is_stable_under_rounding_of_e_m():
+    # log-SSE is flat in b: inputs moved by 1e-15 relative must not move b
+    # beyond what the polish on dSSE/db resolves
+    rng = np.random.default_rng(7)
+    pts = [(m, t2, 0.9 * math.exp(-3e-3 * (1 / t2) ** 0.6 * m + 0.1 * rng.normal()))
+           for m in (3, 5, 7, 9, 11) for t2 in (0.5e-3, 1e-3, 2e-3)]
+    base = fit_exponential(pts).b
+    for _ in range(5):
+        signs = rng.choice([-1.0, 1.0], size=len(pts))
+        moved = [(m, t2, em * (1 + 1e-15 * s)) for (m, t2, em), s in zip(pts, signs)]
+        assert abs(fit_exponential(moved).b - base) < 1e-12
 
 
 def test_fit_drops_nonpositive_rows_with_warning():
@@ -236,6 +250,27 @@ def test_estimate_gradient_rejects_weak_series():
     times = np.linspace(0, 4 * math.pi / w, 64)
     with pytest.raises(EstimationError):
         estimate_gradient(times, 0.01 * np.cos(w * times), GAMMA_NV, d)
+
+
+def test_sinusoid_sse_matches_lstsq_per_frequency():
+    # the stacked SVD against one lstsq per frequency, on the search grid of
+    # estimate_gradient; on the half-integer grid its top frequency pi/dt
+    # puts every sample on a multiple of pi, so the sine column vanishes
+    # to rounding and lstsq's cutoff drops it
+    rng = np.random.default_rng(12)
+    for times in (np.linspace(0.0, 1.0, 64), np.sort(rng.uniform(0.0, 1.0, 40)),
+                  0.5 * np.arange(64)):
+        series = 0.7 * np.cos(23.0 * times + 0.4) + 0.05 * rng.normal(size=len(times))
+        w_grid = np.linspace(math.pi / times[-1], math.pi / np.diff(times).min(), 2048)
+        loop = []
+        for w in w_grid:
+            basis = np.column_stack([np.cos(w * times), np.sin(w * times)])
+            coef, *_ = np.linalg.lstsq(basis, series, rcond=None)
+            r = series - basis @ coef
+            loop.append(r @ r)
+        got = _sinusoid_sse(times, series, w_grid)
+        assert np.abs(got - np.array(loop)).max() < 1e-12 * (series @ series)
+        assert np.argmin(got) == np.argmin(loop)
 
 
 def test_estimate_gradient_rejects_short_series():

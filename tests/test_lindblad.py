@@ -284,6 +284,43 @@ def test_dense_branch_matches_full_space_on_random_arms():
         assert np.abs(direct - full.states[k]).max() < 1e-8, (spec, t2, register)
 
 
+PROBE_SERIES_ARMS = [
+    ChainSpec(m_chain=3),
+    ChainSpec(m_chain=7, lost_sites={3}),
+    ChainSpec(m_chain=5, disorder=DisorderSpec(variance_nm2=0.25, seed=3)),
+    ChainSpec(m_chain=13),
+]
+
+
+@pytest.mark.parametrize("limit", [10 ** 6, 0], ids=["dense", "sparse"])
+@pytest.mark.parametrize("t2", [math.inf, 1e-3])
+@pytest.mark.parametrize("spec", PROBE_SERIES_ARMS,
+                         ids=lambda s: f"m{s.m_chain}-lost{len(s.lost_sites)}"
+                                       f"-dis{int(s.disorder is not None)}")
+def test_probe_series_matches_advance(spec, t2, limit, monkeypatch):
+    # random points of spans of one piece and of several, against an exact
+    # advance from the start of the span
+    monkeypatch.setattr(lindblad, "DENSE_GRID_MAX", limit)
+    monkeypatch.setattr(lindblad, "DENSE_ADVANCE_MAX", limit)
+    noise = NoiseSpec(t2_s=t2)
+    prop = _arm_propagator(spec, noise)
+    assert prop.dense_grid == (limit > 0)
+    window = default_window_s(spec)
+    start = prop.advance(initial_transfer_state(spec), 0.3 * window)
+    n = start.n_sites
+    rng = np.random.default_rng(spec.m_chain)
+    probes = rng.normal(size=(n * n, 4))
+    for span, several in ((window / 1000, False), (window / 20, True), (window, True)):
+        series = prop.probe_series(start.block11, span, probes)
+        assert (series.pieces > 1) == several
+        offsets = np.concatenate([[0.0, span], rng.uniform(0.0, span, 8)])
+        want = np.array([probes.T @ prop.advance(start, t).block11.ravel()
+                         for t in offsets])
+        assert np.abs(series(offsets) - want).max() < 1e-12 * max(1.0, np.abs(want).max())
+        assert all(c.shape == (lindblad.SERIES_DEGREE + 1, 4) for c in series.table.values())
+        assert len(series.table) <= len(offsets)
+
+
 def test_excitation_number_is_flat():
     spec = ChainSpec(m_chain=3)
     traj = evolve_chain(spec, NoiseSpec(t2_s=1e-3), n_samples=101)
