@@ -11,7 +11,6 @@ Exit codes: 0 success, 2 invalid configuration, 3 physics rejection
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import math
@@ -158,13 +157,36 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _cell(x) -> str:
+    """`_fmt(x)` as a CSV field, quoted only where it holds a comma, a
+    quote or a line break (csv.writer's minimal quoting)."""
+    text = _fmt(x)
+    if any(ch in text for ch in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def write_csv(path, header, rows) -> None:
-    """UTF-8 CSV with a header row; floats carry 12 significant digits."""
+    """UTF-8 CSV with a header row; floats carry 12 significant digits.
+
+    The text is what csv.writer writes for the cells of :func:`_fmt`
+    (minimal quoting, CRLF line ends).  Each row is formatted by one
+    %-format, shared by every row of the same cell types; a row whose
+    text holds a quote, a line break or an extra comma has a cell csv
+    would quote, and is formatted cell by cell instead.
+    """
+    formats: dict = {}
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
+        fh.write(",".join(map(_cell, header)) + "\r\n")
         for row in rows:
-            writer.writerow([_fmt(x) for x in row])
+            key = tuple(map(type, row))
+            if key not in formats:
+                formats[key] = ",".join("%.12g" if issubclass(t, float) else "%s"
+                                        for t in key)
+            line = formats[key] % tuple(row)
+            if line.count(",") >= len(key) or '"' in line or "\r" in line or "\n" in line:
+                line = ",".join(map(_cell, row))
+            fh.write(line + "\r\n")
 
 
 def write_manifest(outdir, cfg: RunConfig, outputs, wall_time: float,

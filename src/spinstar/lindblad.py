@@ -29,7 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
-from scipy.sparse.linalg import expm_multiply
+from scipy.special import ive, jv
 
 from .chain import ChainSpec, CouplingGraph, build_coupling_graph, single_excitation_matrix
 from .qops import assert_density, n_qubits
@@ -265,24 +265,25 @@ def evolve(
 # Xeon VM (numpy 2.4, scipy 1.17), default arms at T2 = 1 ms, medians;
 # on_grid over 2001 samples of the default window, with the scan's probe
 # rows or whole blocks; advance by two grid steps; peak memory as traced
-# by tracemalloc over one probe-row on_grid:
+# by tracemalloc over one probe-row on_grid.  The sparse columns are the
+# Chebyshev branch:
 #
 #   M   n^2 |  probes, ms   |  blocks, ms   | advance, ms  | peak, MB
 #           | sparse  dense | sparse  dense | sparse dense | sparse dense
-#   3    25 |    30    0.3  |    46    1.2  |  0.36  0.05  |  0.31  0.32
-#   5    49 |    42    0.8  |    74    2.4  |  0.37  0.18  |  0.46  0.53
-#   7    81 |    49    1.9  |   106    4.9  |  0.41  0.65  |  0.66  0.94
-#   9   121 |    59    4.8  |   146    7.7  |  0.41  1.75  |  0.95  2.05
-#  11   169 |    62   11.1  |   205   16.4  |  0.44  4.06  |  1.22  4.40
-#  13   225 |    78   24.2  |   216   36.4  |  0.47  8.63  |  1.58  7.78
-#  15   289 |    94   48.8  |   280   63.7  |  0.48  16.9  |  2.05  12.8
+#   3    25 |    12    1.0  |    13    2.1  |  0.46  0.09  |  0.24  0.32
+#   5    49 |    15    1.8  |    16    4.0  |  0.33  0.33  |  0.28  0.50
+#   7    81 |    11    4.0  |    18    7.2  |  0.40  1.10  |  0.36  0.86
+#   9   121 |    14    8.2  |    15   18.2  |  0.46  2.73  |  0.45  1.89
+#  11   169 |    19   19.1  |    19   29.2  |  0.38  7.67  |  0.57  4.13
+#  13   225 |    27   49.0  |    31   73.4  |  0.58  17.2  |  0.72  7.31
+#  15   289 |    32   98.3  |    38  129.6  |  0.54  32.7  |  0.89  12.0
 #
 # advance carries one state per call (a scan calls it once, to the start
 # of its refinement), so its dense exponential pays only while it costs
-# less than one expm_multiply call: n^2 <= 49.  On the grid the dense
-# branch stays faster past M = 15, but its working set grows as n^4
-# (expm holds several n^2 x n^2 arrays); stopping at n^2 = 169 keeps it
-# within a few MB.
+# less than one Chebyshev carry: n^2 <= 49.  On the grid the two branches
+# meet at n^2 = 169 for probe rows and near n^2 = 121 for whole blocks;
+# past that the dense working set also grows as n^4 (expm holds several
+# n^2 x n^2 arrays).
 DENSE_GRID_MAX = 169
 DENSE_ADVANCE_MAX = 49
 
@@ -291,6 +292,113 @@ DENSE_ADVANCE_MAX = 49
 # relative to ||vec B||_1, so the series is exact in double precision.
 SERIES_DEGREE = 18
 _INV_FACTORIALS = 1.0 / np.array([math.factorial(k) for k in range(SERIES_DEGREE + 1)])
+
+
+# Chebyshev branch (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967, 1984).
+# L = -i (h1 x I - I x h1^T) + D: the first part is anti-Hermitian with
+# eigenvalues E_a - E_b, and D is diagonal with entries in [-4 Gamma, 0],
+# so the field of values of L lies in the rectangle Re z in [-4 Gamma, 0],
+# |Im z| <= W = E_max - E_min.  A piece of length h is carried by
+#
+#   exp(L t) v = sum_k C[k] T_k(X) v,  X = (L - c)/f,
+#   C[k] = exp(c t) (2 - delta_k0) I_k(f t),
+#
+# on the ellipse with centre c = -2 Gamma and foci c +- f that passes
+# through the corners of the rectangle and reaches 1/h past its real
+# edges, so |exp(h z)| <= e on it (:func:`_ellipse`).  With rho its
+# Bernstein parameter, ||T_k(X)|| <= (1 + sqrt 2) rho^k (Crouzeix &
+# Palencia 2017), which gives the truncation and the piece length:
+#
+# * truncation: the series stops after the last order k with
+#   |C[j, k]| rho^k >= 2^-53 at any offset j.  Past the peak these terms
+#   fall faster than geometrically, so the tail dropped is a few 2^-53
+#   of ||v||, the size of one rounding;
+# * rounding: term k is formed to about 2^-53 |C[j, k]| rho^k ||v||, so the
+#   piece's rounding error is about 2^-53 growth ||v||, with growth =
+#   max_j sum_k |C[j, k]| rho^k.  A piece is kept only while growth <=
+#   CHEB_GROWTH_MAX, a rounding error below about 2^-48 ||v||; the
+#   default stride of the longest default arm (M = 31) has growth ~10.
+#   Growth rises with the order, so this also caps the N x n^2 working
+#   set of the recurrence on long pieces;
+# * range: a piece spans at most CHEB_DECAY_MAX / (2 Gamma), so
+#   exp(c h) >= e^-64 and the Chebyshev vectors (~rho^k) stay far inside
+#   the double range.
+#
+# Among the piece counts that meet both, the one with the fewest products
+# L @ v is taken.  Errors add over pieces: against dense expm they stay
+# below 1e-12 relative over five default windows down to T2 = 1 us, and
+# over one window down to T2 = 0.1 us (tests/test_lindblad.py).
+CHEB_GROWTH_MAX = 32.0
+CHEB_DECAY_MAX = 64.0
+_UNIT_ROOTS = np.array([1.0, 1j, -1.0, -1j])
+
+
+def _ellipse(width: float, gamma: float, h: float) -> tuple:
+    """(f, rho): focal half-distance (real, or imaginary as ``i g``) and
+    Bernstein parameter of the series ellipse of a piece of length `h`.
+
+    In units of 1/h the rectangle has half-axes q = 2 Gamma h (real) and
+    p = W h (imaginary).  The ellipse has real half-axis Q = q + 1 and
+    passes through the corner (q, p), so its imaginary half-axis is
+    P = p Q / sqrt(Q^2 - q^2).  Near a circle the foci meet and X blows
+    up, so P is kept at least 9/8 Q unless the ellipse is clearly wide.
+    """
+    p, q = width * h, 2.0 * gamma * h
+    big_q = q + 1.0
+    big_p = p * big_q / math.sqrt(big_q * big_q - q * q)
+    if big_p > big_q * 8.0 / 9.0:
+        big_p = max(big_p, big_q * 9.0 / 8.0)
+        f = 1j * math.sqrt(big_p * big_p - big_q * big_q)
+    else:
+        f = math.sqrt(big_q * big_q - big_p * big_p)
+    return f / h, (big_p + big_q) / abs(f)
+
+
+def _chebyshev_coefficients(c: float, f, offsets: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """C[j, i] = exp(c t_j) (2 - delta_k0) I_k(f t_j) for the orders k = k[i]."""
+    t = offsets[:, None]
+    if isinstance(f, complex):   # I_k(i g t) = i^k J_k(g t)
+        coef = _UNIT_ROOTS[k % 4] * jv(k, f.imag * t) * np.exp(c * t)
+    else:                        # ive(k, x) = I_k(x) exp(-x)
+        coef = ive(k, f * t) * np.exp((c + f) * t)
+    return np.where(k > 0, 2.0, 1.0) * coef
+
+
+def _chebyshev_piece(width: float, gamma: float, h: float, fractions: np.ndarray) -> tuple:
+    """(f, C, growth) of a piece of length `h`, C truncated as above, with
+    rows at the offsets ``fractions * h``."""
+    f, rho = _ellipse(width, gamma, h)
+    x = abs(f) * h
+    order = min(int(x + 6.0 * x ** (1.0 / 3.0)) + 40, 512)
+    coef = np.empty((len(fractions), 0))
+    while True:
+        k = np.arange(coef.shape[1], order)
+        coef = np.hstack([coef, _chebyshev_coefficients(-2.0 * gamma, f, fractions * h, k)])
+        with np.errstate(divide="ignore"):
+            weight = np.exp(np.log(np.abs(coef)) + np.arange(order) * math.log(rho))
+        # more orders only add to the growth, so a piece past the bound
+        # is given up at once
+        growth = float(weight.sum(axis=1).max())
+        top = weight.max(axis=0)
+        above = np.flatnonzero(top >= 2.0 ** -53)
+        n = above[-1] + 1 if above.size else 1
+        # the terms past the peak fall monotonically (to zero once they
+        # underflow): stop once the last few lie below the cut and fall
+        if growth > CHEB_GROWTH_MAX or (n <= order - 4 and np.all(np.diff(top[-4:]) <= 0)):
+            return f, coef[:, :n], growth
+        order += order // 2
+
+
+def _chebyshev_terms(x, x2, v: np.ndarray, count: int) -> np.ndarray:
+    """T_0(X) v, ..., T_{count-1}(X) v stacked along a new first axis;
+    `x2` is 2X."""
+    out = np.empty((count,) + v.shape, dtype=complex)
+    out[0] = v
+    if count > 1:
+        out[1] = x @ v
+    for k in range(2, count):
+        np.subtract(x2 @ out[k - 1], out[k - 2], out=out[k])
+    return out
 
 
 def _powers(p: np.ndarray, x: np.ndarray, count: int) -> np.ndarray:
@@ -309,8 +417,9 @@ class ProbeSeries:
     j holds ``table[j][k] = probes^T (L s)^k / k! vec(B(j s))`` for k up
     to SERIES_DEGREE, and the readings at ``(j + x) s``, 0 <= x <= 1, are
     ``sum_k table[j][k] x^k``.  A piece is tabled the first time a reading
-    falls in it, from one exact step of B(0) to its start, so the cost
-    follows the pieces read rather than the length of the span.
+    falls in it, from one exact step to its start from the start of the
+    nearest piece tabled before it, so the cost follows the pieces read
+    rather than the length of the span.
     """
 
     def __init__(self, prop: SectorPropagator, block11: np.ndarray, span: float,
@@ -319,13 +428,17 @@ class ProbeSeries:
         self.pieces = max(1, math.ceil(norm * span))
         self.width = span / self.pieces
         self.table: dict = {}
-        self._prop, self._start, self._probes = prop, block11.ravel(), probes
+        self._starts = {0: block11.ravel()}
+        self._prop, self._probes = prop, probes
         self._step = prop.liouvillian * self.width
 
     def _piece(self, j: int) -> np.ndarray:
         if j not in self.table:
-            v = self._start if j == 0 else self._prop._carry(self._start, j * self.width)
-            terms = _powers(self._step, v, SERIES_DEGREE + 1) * _INV_FACTORIALS[:, None]
+            i = max(i for i in self._starts if i <= j)
+            if i < j:
+                self._starts[j] = self._prop._carry(self._starts[i], (j - i) * self.width)
+            terms = (_powers(self._step, self._starts[j], SERIES_DEGREE + 1)
+                     * _INV_FACTORIALS[:, None])
             self.table[j] = terms @ self._probes
         return self.table[j]
 
@@ -351,10 +464,14 @@ class SectorPropagator:
     Short arms hold ``L`` dense and take dense exponentials (scaling and
     squaring, Higham 2005): on the grid while n^2 <= DENSE_GRID_MAX
     (`dense_grid`), in :meth:`advance` while n^2 <= DENSE_ADVANCE_MAX
-    (`dense_advance`).  Otherwise ``L`` is sparse and carried by the
-    action of its exponential (``expm_multiply``, Al-Mohy & Higham 2011).
-    :meth:`probe_series`, the scan's refinement, forms products ``L @ v``
-    and exact steps only, and is the same on both branches.
+    (`dense_advance`).  Otherwise ``L`` is sparse and vec(B) is carried
+    piece by piece by a Chebyshev series of ``exp(L t)`` (Tal-Ezer &
+    Kosloff 1984), whose ellipse encloses the field of values of ``L``
+    in closed form from the spread W of `energies` and from Gamma; the
+    truncation and the piece length are derived bounds (see
+    CHEB_GROWTH_MAX).  :meth:`probe_series`, the scan's refinement, forms
+    products ``L @ v`` and exact steps only, and is the same on both
+    branches.
     """
 
     def __init__(self, h1: np.ndarray, noise: NoiseSpec):
@@ -370,14 +487,17 @@ class SectorPropagator:
             eye = np.eye(n)
             self.liouvillian = (-1j * (np.kron(h1, eye) - np.kron(eye, h1.T))
                                 + np.diag(damping.ravel()))
-            # the sparse form expm_multiply acts on, where advance uses it
-            self._sparse = None if self.dense_advance else sp.csc_matrix(self.liouvillian)
+            sparse = None if self.dense_advance else sp.csr_matrix(self.liouvillian)
         else:
             h = sp.csr_matrix(h1)
             eye = sp.identity(n, format="csr")
-            self.liouvillian = self._sparse = (
-                -1j * (sp.kron(h, eye) - sp.kron(eye, h.T))
-                + sp.diags(damping.ravel())).tocsc()
+            self.liouvillian = sparse = (-1j * (sp.kron(h, eye) - sp.kron(eye, h.T))
+                                         + sp.diags(damping.ravel())).tocsr()
+        # L - c, c = -2 Gamma, the centre of the Chebyshev series, where
+        # the series carries (advance unless dense_advance, the grid
+        # unless dense_grid)
+        self._shifted = None if sparse is None else (
+            sparse + 2.0 * gamma * sp.identity(n * n, format="csr")).tocsr()
 
     def coherences(self, block01: np.ndarray, times) -> np.ndarray:
         """`block01` evolved to each of `times`; shape (len(times), n)."""
@@ -385,11 +505,38 @@ class SectorPropagator:
         amp = self.modes.conj().T @ block01
         return (np.exp(-(1j * self.energies + 2.0 * self.gamma) * t) * amp) @ self.modes.T
 
+    def _chebyshev(self, span: float, fractions: np.ndarray) -> tuple:
+        """Cut `span` into r equal pieces for the Chebyshev series.
+
+        Returns (r, X, 2X, C), C[j] the coefficients of exp(L t) at
+        ``t = fractions[j] * span / r``.  r starts where a piece decays by
+        at most exp(-CHEB_DECAY_MAX) and doubles while the rounding growth
+        exceeds CHEB_GROWTH_MAX; of the counts that pass, the one with
+        the fewest products, r times the order, is taken.
+        """
+        width = float(self.energies.max() - self.energies.min())
+        r = max(1, math.ceil(2.0 * self.gamma * span / CHEB_DECAY_MAX))
+        best = None
+        while True:
+            f, coef, growth = _chebyshev_piece(width, self.gamma, span / r, fractions)
+            if growth <= CHEB_GROWTH_MAX:
+                if best is not None and r * coef.shape[1] >= best[0] * best[2].shape[1]:
+                    break
+                best = (r, f, coef)
+            r *= 2
+        r, f, coef = best
+        return r, self._shifted * (1.0 / f), self._shifted * (2.0 / f), coef
+
     def _carry(self, vec: np.ndarray, t: float) -> np.ndarray:
         """vec(B) evolved by `t` seconds."""
         if self.dense_advance:
             return expm(self.liouvillian * t) @ vec
-        return expm_multiply(self._sparse * t, vec)
+        if t == 0:
+            return vec.astype(complex)
+        r, x, x2, coef = self._chebyshev(t, np.ones(1))
+        for _ in range(r):
+            vec = coef[0] @ _chebyshev_terms(x, x2, vec, coef.shape[1])
+        return vec
 
     def advance(self, state: SectorState, t: float) -> SectorState:
         """`state` evolved by `t` seconds."""
@@ -411,14 +558,15 @@ class SectorPropagator:
         """`block11` propagated to `n_samples` equally spaced times on [0, window].
 
         With grid step dt and stride K = isqrt(n_samples - 1) + 1, sample
-        iK + j is exp(L j dt) exp(L iK dt) vec(B0).  vec(B0) is carried
-        over the long strides iK dt, then those columns over the short
-        strides j dt, so every sample comes from at most two exact steps:
-        on the dense branch by repeated products with P_K = expm(L K dt)
-        and P_1 = expm(L dt), otherwise by two ``expm_multiply`` interval
-        calls.  Given `probes`, an (n^2, p) array of rows r, the short
-        strides carry the rows instead, exp(L^T j dt) r, and only the p
-        readings r^T vec(B) are formed, in one product.
+        iK + j is exp(L j dt) exp(L iK dt) vec(B0).  On the dense branch
+        vec(B0) is carried over the long strides iK dt by repeated
+        products with P_K = expm(L K dt), then those columns over the
+        short strides j dt by products with P_1 = expm(L dt); given
+        `probes`, an (n^2, p) array of rows r, the short strides carry the
+        rows instead, exp(L^T j dt) r, and only the p readings r^T vec(B)
+        are formed, in one product.  On the sparse branch vec(B0) is
+        carried over pieces of K dt / r by the Chebyshev series, whose
+        one table of coefficients gives every sample in a piece.
 
         Returns (times, values, K, B at the long strides iK dt), where
         `values` holds the blocks, shape (n_samples, n, n), or the
@@ -428,31 +576,54 @@ class SectorPropagator:
         times = np.linspace(0.0, window, n_samples)
         dt = times[1]
         k = math.isqrt(n_samples - 1) + 1
-        n_long = max((n_samples - 1) // k + 1, 2)   # expm_multiply needs two points
-        if self.dense_grid:
+        n_long = (n_samples - 1) // k + 1
+        if not self.dense_grid:
+            values, cols = self._chebyshev_grid(block11.ravel(), k, dt, n_long,
+                                                n_samples, probes)
+        else:
             cols = _powers(expm(self.liouvillian * (k * dt)), block11.ravel(), n_long)
             step = expm(self.liouvillian * dt)
             if probes is None:
                 short = _powers(step, cols.T, k)
+                values = short.transpose(2, 0, 1).reshape(-1, n * n)[:n_samples]
             else:
+                p = probes.shape[1]
                 rows = _powers(step.T, probes, k)
-        else:
-            cols = expm_multiply(self.liouvillian, block11.ravel(), start=0.0,
-                                 stop=(n_long - 1) * k * dt, num=n_long, endpoint=True)
-            if probes is None:
-                short = expm_multiply(self.liouvillian, cols.T, start=0.0,
-                                      stop=(k - 1) * dt, num=k, endpoint=True)
-            else:
-                rows = expm_multiply(self.liouvillian.T, probes, start=0.0,
-                                     stop=(k - 1) * dt, num=k, endpoint=True)
+                values = ((cols @ rows.transpose(1, 0, 2).reshape(n * n, k * p))
+                          .reshape(-1, p)[:n_samples])
         if probes is None:
-            values = (short.transpose(2, 0, 1).reshape(-1, n * n)[:n_samples]
-                      .reshape(n_samples, n, n))
-        else:
-            p = probes.shape[1]
-            values = ((cols @ rows.transpose(1, 0, 2).reshape(n * n, k * p))
-                      .reshape(-1, p)[:n_samples])
+            values = values.reshape(n_samples, n, n)
         return times, values, k, cols.reshape(-1, n, n)
+
+    def _chebyshev_grid(self, vec: np.ndarray, k: int, dt: float, n_long: int,
+                        n_samples: int, probes: np.ndarray | None) -> tuple:
+        """Sparse branch of :meth:`on_grid`: (values, columns).
+
+        Each stride K dt is cut into r pieces of K dt / r.  Sample j of a
+        stride lies in piece (j r) // K at offset ((j r) mod K) dt / r, so
+        one table with rows at the offsets u dt / r, u = 0..K, serves
+        every piece; row K carries vec(B) to the start of the next piece.
+        """
+        r, x, x2, coef = self._chebyshev(k * dt, np.arange(k + 1) / k)
+        piece, row = np.divmod(np.arange(k) * r, k)
+        in_piece = [np.flatnonzero(piece == i) for i in range(r)]
+        width = vec.size if probes is None else probes.shape[1]
+        values = np.empty((n_samples, width), dtype=complex)
+        cols = np.empty((n_long, vec.size), dtype=complex)
+        last = n_samples - 1
+        for i in range(n_long):
+            cols[i] = vec
+            base = i * k
+            pieces = r if i < n_long - 1 else piece[last - base] + 1
+            for q in range(pieces):
+                terms = _chebyshev_terms(x, x2, vec, coef.shape[1])
+                js = in_piece[q]
+                js = js[base + js <= last]
+                if js.size:
+                    read = terms if probes is None else terms @ probes
+                    values[base + js] = coef[row[js]] @ read
+                vec = coef[k] @ terms
+        return values, cols
 
 
 def evolve_sector(

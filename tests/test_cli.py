@@ -289,3 +289,31 @@ def test_outdir_from_environment(tmp_path, monkeypatch):
     code = main(["spectrum", "--n", "2"])
     assert code == EXIT_OK
     assert (tmp_path / "env_out" / "spectrum.csv").exists()
+
+
+def test_write_csv_matches_csv_writer(tmp_path):
+    # the one-format-per-row writer against csv.writer on the cells of _fmt
+    import csv
+    from fractions import Fraction
+
+    from spinstar.cli import _fmt, write_csv
+
+    header = ["m", "n_lost", "lost_sites", "tau_kt", "e_f"]
+    rows = [
+        (3, np.int64(1), "1+2", 0.1, np.float64(1 / 3)),
+        (np.int32(5), 2, 'a,"b"', math.nan, -math.inf),
+        (10 ** 12, 123456789012345, "x\ny", math.inf, -0.0),
+        (True, 0, "", 1e-300, np.float64(2.5e17)),
+        [7, 8, "3", np.float32(0.1), Fraction(1, 2)],
+        (1.0, 2.0, 3, 4.0, 5.0),
+    ]
+    ours = tmp_path / "ours.csv"
+    write_csv(ours, header, rows)
+    oracle = tmp_path / "oracle.csv"
+    with open(oracle, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_fmt(x) for x in row])
+    assert ours.read_bytes() == oracle.read_bytes()
+    assert b'"a,""b"""' in ours.read_bytes()

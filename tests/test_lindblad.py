@@ -10,7 +10,7 @@ from spinstar.chain import (
     build_coupling_graph,
     single_excitation_matrix,
 )
-from spinstar.entangle import eof, max_entanglement_scan, register_pair_state
+from spinstar.entangle import _probe_rows, eof, max_entanglement_scan, register_pair_state
 from spinstar.lindblad import (
     NoiseSpec,
     SectorPropagator,
@@ -319,6 +319,130 @@ def test_probe_series_matches_advance(spec, t2, limit, monkeypatch):
         assert np.abs(series(offsets) - want).max() < 1e-12 * max(1.0, np.abs(want).max())
         assert all(c.shape == (lindblad.SERIES_DEGREE + 1, 4) for c in series.table.values())
         assert len(series.table) <= len(offsets)
+
+
+_CHEBYSHEV_ARMS = [
+    ChainSpec(m_chain=12),
+    ChainSpec(m_chain=15, lost_sites={4}),
+    ChainSpec(m_chain=13, disorder=DisorderSpec(variance_nm2=0.25, seed=8)),
+]
+CHEBYSHEV_CASES = [(spec, t2) for spec in _CHEBYSHEV_ARMS
+                   for t2 in (math.inf, 1e-3, 1e-5, 1e-6, 1e-7)]
+CHEBYSHEV_CASES += [(ChainSpec(m_chain=21), 1e-3)]
+
+
+def _close(got, want):
+    return np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+@pytest.mark.parametrize("spec, t2", CHEBYSHEV_CASES,
+                         ids=lambda v: f"t2-{v:g}" if isinstance(v, float) else
+                         f"m{v.m_chain}-lost{len(v.lost_sites)}-dis{int(v.disorder is not None)}")
+def test_chebyshev_branch_matches_dense_expm(spec, t2):
+    # the sparse branch against dense scipy.linalg.expm of L: on_grid with
+    # probe rows and with blocks on 2, 201 and 2001 samples of the default
+    # window and 21 samples of five windows, advance, and probe_series.
+    # Rounding adds up over the pieces: at T2 = 0.1 us five windows are
+    # about 1e4 e-folds of the coherences, some 1600 pieces, and the error
+    # there reaches 1.5e-12, so that grid runs down to T2 = 1 us
+    from scipy.linalg import expm
+
+    noise = NoiseSpec(t2_s=t2)
+    prop = _arm_propagator(spec, noise)
+    assert not (prop.dense_grid or prop.dense_advance)
+    liouvillian = prop.liouvillian.toarray()
+    state0 = initial_transfer_state(spec)
+    b0 = state0.block11.ravel()
+    n = state0.n_sites
+    window = default_window_s(spec)
+    rng = np.random.default_rng(spec.m_chain)
+    # unit rows, so a reading is on the scale of the entries of B
+    probes = rng.normal(size=(n * n, 3))
+    probes /= np.linalg.norm(probes, axis=0)
+    grids = [(2, window), (201, window), (2001, window)]
+    if t2 >= 1e-6:
+        grids.append((21, 5 * window))
+    for n_samples, t_end in grids:
+        times, readings, k, cols = prop.on_grid(state0.block11, t_end, n_samples, probes)
+        picks = sorted({1, n_samples // 3, n_samples - 1, int(rng.integers(n_samples))})
+        want = np.array([expm(liouvillian * times[i]) @ b0 for i in picks])
+        assert _close(readings[picks], want @ probes), (n_samples, t_end)
+        assert cols.shape == ((n_samples - 1) // k + 1, n, n)
+        i = len(cols) - 1
+        assert _close(cols[i].ravel(), expm(liouvillian * (i * k * times[1])) @ b0)
+        if n_samples == 201:
+            _, blocks, _, _ = prop.on_grid(state0.block11, t_end, n_samples)
+            assert _close(blocks[picks].reshape(len(picks), -1), want)
+    start = prop.advance(state0, 0.3 * window)
+    b_start = start.block11.ravel()
+    assert _close(b_start, expm(liouvillian * (0.3 * window)) @ b0)
+    for t in (0.0, window / 2000, 2 * window):
+        assert _close(prop.advance(start, t).block11.ravel(), expm(liouvillian * t) @ b_start)
+    series = prop.probe_series(start.block11, window / 10, probes)
+    offsets = np.concatenate([[window / 10], rng.uniform(0.0, window / 10, 3)])
+    want = np.array([expm(liouvillian * t) @ b_start for t in offsets])
+    assert _close(series(offsets), want @ probes)
+
+
+def test_chebyshev_pieces_stay_short_on_long_windows():
+    # one series over 100 windows would need ~9e4 orders, an N x n^2
+    # working set of ~0.3 GB at M = 12; the rounding-growth bound cuts
+    # the stride into pieces, so the memory stays that of a short piece
+    import tracemalloc
+
+    from scipy.linalg import expm
+
+    spec = ChainSpec(m_chain=12)
+    prop = _arm_propagator(spec, NoiseSpec(t2_s=math.inf))
+    state0 = initial_transfer_state(spec)
+    t_end = 100 * default_window_s(spec)
+    tracemalloc.start()
+    _, blocks, _, _ = prop.on_grid(state0.block11, t_end, 2)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 10e6
+    assert _close(blocks[-1].ravel(),
+                  expm(prop.liouvillian.toarray() * t_end) @ state0.block11.ravel())
+
+
+def test_chebyshev_branch_matches_expm_multiply_at_m31():
+    # the longest default arm, too large for a dense oracle, against
+    # scipy's action of the exponential
+    from scipy.sparse.linalg import expm_multiply
+
+    spec = ChainSpec(m_chain=31)
+    noise = NoiseSpec(t2_s=1e-3)
+    prop = _arm_propagator(spec, noise)
+    state0 = initial_transfer_state(spec)
+    b0 = state0.block11.ravel()
+    n = state0.n_sites
+    probes = np.random.default_rng(31).normal(size=(n * n, 4))
+    probes /= np.linalg.norm(probes, axis=0)
+    times, readings, _, _ = prop.on_grid(state0.block11, default_window_s(spec), 2001, probes)
+    picks = [1, 700, 1999, 2000]
+    want = np.array([expm_multiply(prop.liouvillian * times[i], b0) for i in picks])
+    assert _close(readings[picks], want @ probes)
+    assert _close(prop.advance(state0, times[700]).block11.ravel(), want[1])
+
+
+def test_probe_series_carries_from_the_nearest_tabled_piece(monkeypatch):
+    spec = ChainSpec(m_chain=13)
+    window = default_window_s(spec)
+    prop = _arm_propagator(spec, NoiseSpec(t2_s=1e-3))
+    state0 = initial_transfer_state(spec)
+    probes = _probe_rows(state0.n_sites)
+    series = prop.probe_series(state0.block11, window, probes)
+    spans = []
+    carry = prop._carry
+    monkeypatch.setattr(prop, "_carry", lambda v, t: spans.append(t) or carry(v, t))
+    offsets = np.array([0.2, 0.5, 0.9, 0.95, 0.3]) * window
+    got = series(offsets)
+    # each new piece starts from the piece tabled last before it, and the
+    # piece of 0.3 from that of 0.2
+    assert len(spans) == len(series.table) == 5
+    assert max(spans) < 0.41 * window and sum(spans) < 1.05 * window
+    want = np.array([probes.T @ prop.advance(state0, t).block11.ravel() for t in offsets])
+    assert _close(got, want)
 
 
 def test_excitation_number_is_flat():
