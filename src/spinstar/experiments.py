@@ -14,7 +14,6 @@ import zlib
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq, curve_fit
 
 from .chain import ChainSpec, DisorderSpec, loss_configurations, validate_star_geometry, GeometryError
 from .entangle import EmResult, max_entanglement_scan
@@ -106,6 +105,8 @@ def fit_exponential(points, b_bounds: tuple = (0.05, 3.0)) -> FitResult:
     dropped with a warning; rows are sorted, so their order does not
     reach the result.
     """
+    from scipy.optimize import brentq
+
     rows = sorted((int(m), float(t2), float(em)) for m, t2, em in points)
     usable = [r for r in rows if r[2] > 0]
     if len(usable) < len(rows):
@@ -342,6 +343,8 @@ def estimate_gradient(
     half an oscillation period, or with fitted amplitude below
     `min_amplitude`, are rejected.
     """
+    from scipy.optimize import curve_fit
+
     t = np.asarray(times_s, dtype=float)
     y = np.asarray(series, dtype=float)
     if t.ndim != 1 or t.shape != y.shape or len(t) < 8:

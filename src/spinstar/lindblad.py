@@ -15,7 +15,9 @@ Two paths produce identical physics:
   of sites);
 * :func:`evolve_sector` exploits excitation-number conservation to evolve
   only the zero- and one-excitation blocks, exactly, with
-  :class:`SectorPropagator`; it scales to arbitrary chain lengths.
+  :class:`SectorPropagator`; it scales to arbitrary chain lengths.  The
+  one-excitation block ``B`` is Hermitian, so the propagator carries it
+  in real arithmetic as its real form ``R = Re B + Im B``.
 
 Both report trace drift rather than renormalizing.
 """
@@ -27,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.integrate import solve_ivp
 from scipy.linalg import expm
+from scipy.sparse import _sparsetools
 from scipy.special import ive, jv
 
 from .chain import ChainSpec, CouplingGraph, build_coupling_graph, single_excitation_matrix
@@ -84,6 +86,8 @@ class SectorState:
         total = self.block00 + float(np.trace(self.block11).real)
         if abs(total - 1.0) > tol:
             raise ValueError(f"sector populations sum to {total}, not 1")
+        if np.abs(self.block11 - self.block11.conj().T).max() > tol:
+            raise ValueError("one-excitation block is not Hermitian")
         w = np.linalg.eigvalsh((self.block11 + self.block11.conj().T) / 2)
         if w.min() < -tol:
             raise ValueError("one-excitation block is not positive semidefinite")
@@ -231,6 +235,8 @@ def evolve(
     Stores `n_samples` equally spaced states on [0, t_end].  Trace drift
     beyond the tolerance raises; states are never silently renormalized.
     """
+    from scipy.integrate import solve_ivp
+
     check_grid(t_end, n_samples)
     rho0 = np.asarray(rho0, dtype=complex)
     assert_density(rho0)
@@ -261,51 +267,95 @@ def evolve(
 
 
 # Crossovers of SectorPropagator's dense branch, in n^2, the size of the
-# Liouvillian of an n-site arm.  Measured with one BLAS thread on a 2-vCPU
-# Xeon VM (numpy 2.4, scipy 1.17), default arms at T2 = 1 ms, medians;
-# on_grid over 2001 samples of the default window, with the scan's probe
-# rows or whole blocks; advance by two grid steps; peak memory as traced
-# by tracemalloc over one probe-row on_grid.  The sparse columns are the
-# Chebyshev branch:
+# generator L_R of an n-site arm.  Measured with one BLAS thread on a
+# 2-vCPU Xeon VM (numpy 2.4, scipy 1.17), default arms at T2 = 1 ms,
+# medians; on_grid over 2001 samples of the default window, with the
+# scan's probe rows or whole blocks; advance by two grid steps; peak
+# memory as traced by tracemalloc over one probe-row on_grid.  The sparse
+# columns are the Chebyshev branch:
 #
 #   M   n^2 |  probes, ms   |  blocks, ms   | advance, ms  | peak, MB
 #           | sparse  dense | sparse  dense | sparse dense | sparse dense
-#   3    25 |    12    1.0  |    13    2.1  |  0.46  0.09  |  0.24  0.32
-#   5    49 |    15    1.8  |    16    4.0  |  0.33  0.33  |  0.28  0.50
-#   7    81 |    11    4.0  |    18    7.2  |  0.40  1.10  |  0.36  0.86
-#   9   121 |    14    8.2  |    15   18.2  |  0.46  2.73  |  0.45  1.89
-#  11   169 |    19   19.1  |    19   29.2  |  0.38  7.67  |  0.57  4.13
-#  13   225 |    27   49.0  |    31   73.4  |  0.58  17.2  |  0.72  7.31
-#  15   289 |    32   98.3  |    38  129.6  |  0.54  32.7  |  0.89  12.0
+#   3    25 |   5.3    0.4  |   5.7    1.5  |  0.32  0.06  |  0.20  0.31
+#   5    49 |   6.0    0.7  |   6.5    3.0  |  0.29  0.16  |  0.23  0.47
+#   7    81 |   9.6    1.6  |  11.3    6.5  |  0.47  0.54  |  0.27  0.70
+#   9   121 |  11.5    4.4  |  14.1    9.6  |  0.50  1.13  |  0.33  1.01
+#  11   169 |  13.0    7.2  |  17.2   19.8  |  0.49  3.28  |  0.40  2.09
+#  13   225 |  14.6   18.4  |  23.8   39.2  |  0.49  6.32  |  0.47  3.68
+#  15   289 |  13.6   30.6  |  20.0   60.2  |  0.29  12.2  |  0.55  6.05
 #
 # advance carries one state per call (a scan calls it once, to the start
 # of its refinement), so its dense exponential pays only while it costs
 # less than one Chebyshev carry: n^2 <= 49.  On the grid the two branches
-# meet at n^2 = 169 for probe rows and near n^2 = 121 for whole blocks;
-# past that the dense working set also grows as n^4 (expm holds several
-# n^2 x n^2 arrays).
+# meet between n^2 = 169 and 225 for probe rows and between 121 and 169
+# for whole blocks; past that the dense working set also grows as n^4
+# (expm holds several n^2 x n^2 arrays).
 DENSE_GRID_MAX = 169
 DENSE_ADVANCE_MAX = 49
 
-# Degree of probe_series.  On pieces of width s with ||L||_1 s <= 1 the
+# Degree of probe_series.  On pieces of width s with ||L_R||_1 s <= 1 the
 # terms past this degree sum below 1/19! * (1 + 1/20 + ...) < 2^-53
-# relative to ||vec B||_1, so the series is exact in double precision.
+# relative to ||vec R||_1, so the series is exact in double precision.
 SERIES_DEGREE = 18
 _INV_FACTORIALS = 1.0 / np.array([math.factorial(k) for k in range(SERIES_DEGREE + 1)])
 
 
+def _transpose_index(n: int) -> np.ndarray:
+    """t with ``vec(R^T) = vec(R)[t]`` for row-major vec of an n x n R."""
+    return np.arange(n * n).reshape(n, n).T.ravel()
+
+
+def _real_form(block: np.ndarray) -> np.ndarray:
+    """R = Re B + Im B of a Hermitian `block` B: its n^2 real degrees of
+    freedom, symmetric part Re B and antisymmetric part Im B, with
+    ``||R||_F = ||B||_F``."""
+    return block.real + block.imag
+
+
+def _hermitian_form(real: np.ndarray) -> np.ndarray:
+    """B = (R + R^T)/2 + i (R - R^T)/2 from real forms R (last two axes)."""
+    swapped = np.swapaxes(real, -1, -2)
+    out = np.empty(real.shape, dtype=complex)
+    np.add(real, swapped, out=out.real)
+    np.subtract(real, swapped, out=out.imag)
+    out *= 0.5
+    return out
+
+
+def _real_probes(probes: np.ndarray) -> np.ndarray:
+    """(n^2, 2p) real rows for real (n^2, p) `probes`: on vec(R), columns
+    2i and 2i + 1 read the real and the imaginary part of reading i,
+    ``probes[:, i]^T vec(B)``, so the real readings viewed as complex
+    (:func:`_join`) are the readings."""
+    probes = np.asarray(probes, dtype=float)
+    swapped = probes[_transpose_index(math.isqrt(probes.shape[0]))]
+    return np.stack([probes + swapped, probes - swapped], axis=-1).reshape(
+        probes.shape[0], -1) / 2
+
+
+def _join(readings: np.ndarray) -> np.ndarray:
+    """The complex readings of real readings from :func:`_real_probes`, in place."""
+    return np.ascontiguousarray(readings).view(complex)
+
+
 # Chebyshev branch (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967, 1984).
-# L = -i (h1 x I - I x h1^T) + D: the first part is anti-Hermitian with
-# eigenvalues E_a - E_b, and D is diagonal with entries in [-4 Gamma, 0],
-# so the field of values of L lies in the rectangle Re z in [-4 Gamma, 0],
-# |Im z| <= W = E_max - E_min.  A piece of length h is carried by
+# On vec(B), L = -i (h1 x I - I x h1^T) + D: the first part is
+# anti-Hermitian with eigenvalues E_a - E_b, and D is diagonal with
+# entries in [-4 Gamma, 0], so the field of values of L lies in the
+# rectangle Re z in [-4 Gamma, 0], |Im z| <= W = E_max - E_min.  L_R, the
+# same map on vec(R), has the same field of values: B -> R is an
+# isometry, and the complex span of the Hermitian matrices is all of
+# M_n(C).  A piece of length h is carried by
 #
-#   exp(L t) v = sum_k C[k] T_k(X) v,  X = (L - c)/f,
+#   exp(L_R t) v = sum_k C[k] T_k(X) v,  X = (L_R - c)/f,
 #   C[k] = exp(c t) (2 - delta_k0) I_k(f t),
 #
 # on the ellipse with centre c = -2 Gamma and foci c +- f that passes
 # through the corners of the rectangle and reaches 1/h past its real
-# edges, so |exp(h z)| <= e on it (:func:`_ellipse`).  With rho its
+# edges, so |exp(h z)| <= e on it (:func:`_ellipse`).  For f = i g the
+# phases of I_k(i g t) = i^k J_k(g t) cancel those of T_k(X) =
+# (-i)^k P_k(Y), Y = (L_R - c)/g, P_{k+1} = 2 Y P_k + P_{k-1}, so every
+# term is real.  With rho the
 # Bernstein parameter, ||T_k(X)|| <= (1 + sqrt 2) rho^k (Crouzeix &
 # Palencia 2017), which gives the truncation and the piece length:
 #
@@ -325,12 +375,11 @@ _INV_FACTORIALS = 1.0 / np.array([math.factorial(k) for k in range(SERIES_DEGREE
 #   the double range.
 #
 # Among the piece counts that meet both, the one with the fewest products
-# L @ v is taken.  Errors add over pieces: against dense expm they stay
+# L_R @ v is taken.  Errors add over pieces: against dense expm they stay
 # below 1e-12 relative over five default windows down to T2 = 1 us, and
 # over one window down to T2 = 0.1 us (tests/test_lindblad.py).
 CHEB_GROWTH_MAX = 32.0
 CHEB_DECAY_MAX = 64.0
-_UNIT_ROOTS = np.array([1.0, 1j, -1.0, -1j])
 
 
 def _ellipse(width: float, gamma: float, h: float) -> tuple:
@@ -355,10 +404,11 @@ def _ellipse(width: float, gamma: float, h: float) -> tuple:
 
 
 def _chebyshev_coefficients(c: float, f, offsets: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """C[j, i] = exp(c t_j) (2 - delta_k0) I_k(f t_j) for the orders k = k[i]."""
+    """C[j, i] = exp(c t_j) (2 - delta_k0) I_k(f t_j) for the orders k = k[i],
+    for imaginary f = i g without the phases i^k: J_k(g t_j) in place of I_k."""
     t = offsets[:, None]
-    if isinstance(f, complex):   # I_k(i g t) = i^k J_k(g t)
-        coef = _UNIT_ROOTS[k % 4] * jv(k, f.imag * t) * np.exp(c * t)
+    if isinstance(f, complex):
+        coef = jv(k, f.imag * t) * np.exp(c * t)
     else:                        # ive(k, x) = I_k(x) exp(-x)
         coef = ive(k, f * t) * np.exp((c + f) * t)
     return np.where(k > 0, 2.0, 1.0) * coef
@@ -389,21 +439,31 @@ def _chebyshev_piece(width: float, gamma: float, h: float, fractions: np.ndarray
         order += order // 2
 
 
-def _chebyshev_terms(x, x2, v: np.ndarray, count: int) -> np.ndarray:
-    """T_0(X) v, ..., T_{count-1}(X) v stacked along a new first axis;
-    `x2` is 2X."""
-    out = np.empty((count,) + v.shape, dtype=complex)
+def _add_matvec(a: sp.csr_matrix, v: np.ndarray, out: np.ndarray) -> None:
+    """out += a @ v for CSR `a` and contiguous float vectors, in one call
+    of scipy's compiled kernel, without the dispatch of ``a @ v``."""
+    _sparsetools.csr_matvec(a.shape[0], a.shape[1], a.indptr, a.indices, a.data, v, out)
+
+
+def _chebyshev_terms(y: sp.csr_matrix, y2: sp.csr_matrix, sign: float, v: np.ndarray,
+                     count: int) -> np.ndarray:
+    """Terms 0 .. count-1 of the recurrence u_0 = v, u_1 = Y v,
+    u_{k+1} = 2Y u_k + sign u_{k-1}, stacked along a new first axis;
+    `y2` is 2Y."""
+    out = np.empty((count, v.size))
     out[0] = v
     if count > 1:
-        out[1] = x @ v
+        out[1] = 0.0
+        _add_matvec(y, v, out[1])
     for k in range(2, count):
-        np.subtract(x2 @ out[k - 1], out[k - 2], out=out[k])
+        np.multiply(out[k - 2], sign, out=out[k])
+        _add_matvec(y2, out[k - 1], out[k])
     return out
 
 
-def _powers(p: np.ndarray, x: np.ndarray, count: int) -> np.ndarray:
+def _powers(p, x: np.ndarray, count: int) -> np.ndarray:
     """x, p x, p^2 x, ... (`count` terms), stacked along a new first axis."""
-    out = np.empty((count,) + x.shape, dtype=complex)
+    out = np.empty((count,) + x.shape)
     out[0] = x
     for j in range(1, count):
         out[j] = p @ out[j - 1]
@@ -413,9 +473,10 @@ def _powers(p: np.ndarray, x: np.ndarray, count: int) -> np.ndarray:
 class ProbeSeries:
     """Readings ``probes^T vec(B(t))`` of one block over [0, span], piecewise Taylor.
 
-    [0, span] is cut into `pieces` of width s with ||L||_1 s <= 1.  Piece
-    j holds ``table[j][k] = probes^T (L s)^k / k! vec(B(j s))`` for k up
-    to SERIES_DEGREE, and the readings at ``(j + x) s``, 0 <= x <= 1, are
+    [0, span] is cut into `pieces` of width s with ||L_R||_1 s <= 1.
+    Piece j holds ``table[j][k] = probes^T vec(B_k)``, B_k the Hermitian
+    form of ``(L_R s)^k / k! vec(R(j s))``, for k up to SERIES_DEGREE, and
+    the readings at ``(j + x) s``, 0 <= x <= 1, are
     ``sum_k table[j][k] x^k``.  A piece is tabled the first time a reading
     falls in it, from one exact step to its start from the start of the
     nearest piece tabled before it, so the cost follows the pieces read
@@ -428,8 +489,8 @@ class ProbeSeries:
         self.pieces = max(1, math.ceil(norm * span))
         self.width = span / self.pieces
         self.table: dict = {}
-        self._starts = {0: block11.ravel()}
-        self._prop, self._probes = prop, probes
+        self._starts = {0: _real_form(block11).ravel()}
+        self._prop, self._probes = prop, _real_probes(probes)
         self._step = prop.liouvillian * self.width
 
     def _piece(self, j: int) -> np.ndarray:
@@ -439,7 +500,7 @@ class ProbeSeries:
                 self._starts[j] = self._prop._carry(self._starts[i], (j - i) * self.width)
             terms = (_powers(self._step, self._starts[j], SERIES_DEGREE + 1)
                      * _INV_FACTORIALS[:, None])
-            self.table[j] = terms @ self._probes
+            self.table[j] = _join(terms @ self._probes)
         return self.table[j]
 
     def __call__(self, offsets) -> np.ndarray:
@@ -453,28 +514,36 @@ class ProbeSeries:
 class SectorPropagator:
     """Exact propagator of the 0+1-excitation blocks of one arm.
 
-    Built from the hopping matrix `h1` of the one-excitation sector.
-    Per-site dephasing at rate Gamma leaves the vacuum population
-    constant and damps the vacuum-excitation coherences in closed form,
-    ``exp(-2 Gamma t) exp(-i h1 t) block01``, evaluated from one ``eigh``
-    of `h1`.  The one-excitation block ``B`` follows the Haken-Strobl
-    equation ``dB/dt = -i[h1, B] - 4 Gamma (B - diag B)``, linear in
-    vec(B) with the n^2 x n^2 Liouvillian ``L``.
+    Built from the real symmetric hopping matrix `h1` of the
+    one-excitation sector.  Per-site dephasing at rate Gamma leaves the
+    vacuum population constant and damps the vacuum-excitation coherences
+    in closed form, ``exp(-2 Gamma t) exp(-i h1 t) block01``, evaluated
+    from one ``eigh`` of `h1`.  The one-excitation block ``B`` follows the
+    Haken-Strobl equation ``dB/dt = -i[h1, B] + D o B``, D = -4 Gamma off
+    the diagonal and 0 on it.  ``B`` is Hermitian, so it is carried as
+    its real form ``R = Re B + Im B`` (:func:`_real_form`), which follows
+    ``dR/dt = R^T h1 - h1 R^T + D o R``: linear in vec(R) with the real
+    n^2 x n^2 generator ``L_R = (I x h1^T - h1 x I) Pi + diag vec(D)``,
+    Pi the transpose permutation, in `liouvillian`.  Blocks go in and
+    come out Hermitian; only the propagation is real.
 
-    Short arms hold ``L`` dense and take dense exponentials (scaling and
+    Short arms hold ``L_R`` dense and take dense exponentials (scaling and
     squaring, Higham 2005): on the grid while n^2 <= DENSE_GRID_MAX
     (`dense_grid`), in :meth:`advance` while n^2 <= DENSE_ADVANCE_MAX
-    (`dense_advance`).  Otherwise ``L`` is sparse and vec(B) is carried
-    piece by piece by a Chebyshev series of ``exp(L t)`` (Tal-Ezer &
-    Kosloff 1984), whose ellipse encloses the field of values of ``L``
+    (`dense_advance`).  Otherwise ``L_R`` is sparse (CSR) and vec(R) is
+    carried piece by piece by a Chebyshev series of ``exp(L_R t)``
+    (Tal-Ezer & Kosloff 1984), whose ellipse encloses the field of values
     in closed form from the spread W of `energies` and from Gamma; the
     truncation and the piece length are derived bounds (see
     CHEB_GROWTH_MAX).  :meth:`probe_series`, the scan's refinement, forms
-    products ``L @ v`` and exact steps only, and is the same on both
+    products ``L_R @ v`` and exact steps only, and is the same on both
     branches.
     """
 
     def __init__(self, h1: np.ndarray, noise: NoiseSpec):
+        if np.any(np.imag(h1) != 0) or np.any(h1 != h1.T):
+            raise ValueError("the hopping matrix h1 must be real symmetric")
+        h1 = np.real(h1)
         n = h1.shape[0]
         self.gamma = gamma = noise.rate
         self.energies, self.modes = np.linalg.eigh(h1)
@@ -482,18 +551,20 @@ class SectorPropagator:
         self.dense_advance = n * n <= DENSE_ADVANCE_MAX
         damping = np.full((n, n), -4.0 * gamma)
         np.fill_diagonal(damping, 0.0)
-        # row-major vec: vec(h B) = (h x I) vec(B), vec(B h) = (I x h^T) vec(B)
+        # row-major vec: vec(h R) = (h x I) vec(R), vec(R h) = (I x h^T) vec(R),
+        # vec(R^T) = vec(R)[t]
+        t = _transpose_index(n)
         if self.dense_grid:
             eye = np.eye(n)
-            self.liouvillian = (-1j * (np.kron(h1, eye) - np.kron(eye, h1.T))
+            self.liouvillian = ((np.kron(eye, h1.T) - np.kron(h1, eye))[:, t]
                                 + np.diag(damping.ravel()))
             sparse = None if self.dense_advance else sp.csr_matrix(self.liouvillian)
         else:
             h = sp.csr_matrix(h1)
             eye = sp.identity(n, format="csr")
-            self.liouvillian = sparse = (-1j * (sp.kron(h, eye) - sp.kron(eye, h.T))
+            self.liouvillian = sparse = ((sp.kron(eye, h.T) - sp.kron(h, eye)).tocsr()[:, t]
                                          + sp.diags(damping.ravel())).tocsr()
-        # L - c, c = -2 Gamma, the centre of the Chebyshev series, where
+        # L_R - c, c = -2 Gamma, the centre of the Chebyshev series, where
         # the series carries (advance unless dense_advance, the grid
         # unless dense_grid)
         self._shifted = None if sparse is None else (
@@ -508,11 +579,13 @@ class SectorPropagator:
     def _chebyshev(self, span: float, fractions: np.ndarray) -> tuple:
         """Cut `span` into r equal pieces for the Chebyshev series.
 
-        Returns (r, X, 2X, C), C[j] the coefficients of exp(L t) at
-        ``t = fractions[j] * span / r``.  r starts where a piece decays by
-        at most exp(-CHEB_DECAY_MAX) and doubles while the rounding growth
-        exceeds CHEB_GROWTH_MAX; of the counts that pass, the one with
-        the fewest products, r times the order, is taken.
+        Returns (r, sign, Y, 2Y, C) for :func:`_chebyshev_terms`, C[j] the
+        coefficients of exp(L_R t) at ``t = fractions[j] * span / r``: Y is
+        X and sign -1 for real f, Y = (L_R - c)/g and sign +1 for
+        f = i g.  r starts where a piece decays by at most
+        exp(-CHEB_DECAY_MAX) and doubles while the rounding growth exceeds
+        CHEB_GROWTH_MAX; of the counts that pass, the one with the fewest
+        products, r times the order, is taken.
         """
         width = float(self.energies.max() - self.energies.min())
         r = max(1, math.ceil(2.0 * self.gamma * span / CHEB_DECAY_MAX))
@@ -525,31 +598,35 @@ class SectorPropagator:
                 best = (r, f, coef)
             r *= 2
         r, f, coef = best
-        return r, self._shifted * (1.0 / f), self._shifted * (2.0 / f), coef
+        sign = 1.0 if isinstance(f, complex) else -1.0
+        y = self._shifted * (1.0 / abs(f))
+        return r, sign, y, y * 2.0, coef
 
     def _carry(self, vec: np.ndarray, t: float) -> np.ndarray:
-        """vec(B) evolved by `t` seconds."""
+        """vec(R) evolved by `t` seconds."""
         if self.dense_advance:
             return expm(self.liouvillian * t) @ vec
         if t == 0:
-            return vec.astype(complex)
-        r, x, x2, coef = self._chebyshev(t, np.ones(1))
+            return vec.copy()
+        r, sign, y, y2, coef = self._chebyshev(t, np.ones(1))
         for _ in range(r):
-            vec = coef[0] @ _chebyshev_terms(x, x2, vec, coef.shape[1])
+            vec = coef[0] @ _chebyshev_terms(y, y2, sign, vec, coef.shape[1])
         return vec
 
     def advance(self, state: SectorState, t: float) -> SectorState:
         """`state` evolved by `t` seconds."""
         n = state.n_sites
+        vec = self._carry(_real_form(state.block11).ravel(), t)
         return SectorState(state.block00, self.coherences(state.block01, [t])[0],
-                           self._carry(state.block11.ravel(), t).reshape(n, n))
+                           _hermitian_form(vec.reshape(n, n)))
 
     def probe_series(self, block11: np.ndarray, span: float,
                      probes: np.ndarray) -> ProbeSeries:
         """Readings ``probes^T vec(B(t))`` for t in [0, span], from B(0) = `block11`.
 
-        Only products ``L @ v`` and exact steps form them, so the dense
-        and the sparse branch share this; see :class:`ProbeSeries`.
+        `probes` is a real (n^2, p) array.  Only products ``L_R @ v`` and
+        exact steps form the readings, so the dense and the sparse branch
+        share this; see :class:`ProbeSeries`.
         """
         return ProbeSeries(self, block11, span, probes)
 
@@ -558,15 +635,16 @@ class SectorPropagator:
         """`block11` propagated to `n_samples` equally spaced times on [0, window].
 
         With grid step dt and stride K = isqrt(n_samples - 1) + 1, sample
-        iK + j is exp(L j dt) exp(L iK dt) vec(B0).  On the dense branch
-        vec(B0) is carried over the long strides iK dt by repeated
-        products with P_K = expm(L K dt), then those columns over the
-        short strides j dt by products with P_1 = expm(L dt); given
-        `probes`, an (n^2, p) array of rows r, the short strides carry the
-        rows instead, exp(L^T j dt) r, and only the p readings r^T vec(B)
-        are formed, in one product.  On the sparse branch vec(B0) is
-        carried over pieces of K dt / r by the Chebyshev series, whose
-        one table of coefficients gives every sample in a piece.
+        iK + j is exp(L_R j dt) exp(L_R iK dt) vec(R0).  On the dense
+        branch vec(R0) is carried over the long strides iK dt by repeated
+        products with P_K = expm(L_R K dt), then those columns over the
+        short strides j dt by products with P_1 = expm(L_R dt); given
+        `probes`, a real (n^2, p) array of rows r, the short strides carry
+        the 2p real rows of :func:`_real_probes` instead, exp(L_R^T j dt) r,
+        and only the readings r^T vec(B) are formed, in one product.  On
+        the sparse branch vec(R0) is carried over pieces of K dt / r by the
+        Chebyshev series, whose one table of coefficients gives every
+        sample in a piece.
 
         Returns (times, values, K, B at the long strides iK dt), where
         `values` holds the blocks, shape (n_samples, n, n), or the
@@ -577,50 +655,54 @@ class SectorPropagator:
         dt = times[1]
         k = math.isqrt(n_samples - 1) + 1
         n_long = (n_samples - 1) // k + 1
+        vec = _real_form(block11).ravel()
+        rows = None if probes is None else _real_probes(probes)
         if not self.dense_grid:
-            values, cols = self._chebyshev_grid(block11.ravel(), k, dt, n_long,
-                                                n_samples, probes)
+            values, cols = self._chebyshev_grid(vec, k, dt, n_long, n_samples, rows)
         else:
-            cols = _powers(expm(self.liouvillian * (k * dt)), block11.ravel(), n_long)
+            cols = _powers(expm(self.liouvillian * (k * dt)), vec, n_long)
             step = expm(self.liouvillian * dt)
-            if probes is None:
+            if rows is None:
                 short = _powers(step, cols.T, k)
                 values = short.transpose(2, 0, 1).reshape(-1, n * n)[:n_samples]
             else:
-                p = probes.shape[1]
-                rows = _powers(step.T, probes, k)
-                values = ((cols @ rows.transpose(1, 0, 2).reshape(n * n, k * p))
-                          .reshape(-1, p)[:n_samples])
+                width = rows.shape[1]
+                carried = _powers(step.T, rows, k)
+                values = ((cols @ carried.transpose(1, 0, 2).reshape(n * n, k * width))
+                          .reshape(-1, width)[:n_samples])
         if probes is None:
-            values = values.reshape(n_samples, n, n)
-        return times, values, k, cols.reshape(-1, n, n)
+            values = _hermitian_form(values.reshape(n_samples, n, n))
+        else:
+            values = _join(values)
+        return times, values, k, _hermitian_form(cols.reshape(-1, n, n))
 
     def _chebyshev_grid(self, vec: np.ndarray, k: int, dt: float, n_long: int,
-                        n_samples: int, probes: np.ndarray | None) -> tuple:
-        """Sparse branch of :meth:`on_grid`: (values, columns).
+                        n_samples: int, rows: np.ndarray | None) -> tuple:
+        """Sparse branch of :meth:`on_grid` on vec(R): (values, columns),
+        real, with the readings of the real `rows` or whole vec(R).
 
         Each stride K dt is cut into r pieces of K dt / r.  Sample j of a
         stride lies in piece (j r) // K at offset ((j r) mod K) dt / r, so
         one table with rows at the offsets u dt / r, u = 0..K, serves
-        every piece; row K carries vec(B) to the start of the next piece.
+        every piece; row K carries vec(R) to the start of the next piece.
         """
-        r, x, x2, coef = self._chebyshev(k * dt, np.arange(k + 1) / k)
+        r, sign, y, y2, coef = self._chebyshev(k * dt, np.arange(k + 1) / k)
         piece, row = np.divmod(np.arange(k) * r, k)
         in_piece = [np.flatnonzero(piece == i) for i in range(r)]
-        width = vec.size if probes is None else probes.shape[1]
-        values = np.empty((n_samples, width), dtype=complex)
-        cols = np.empty((n_long, vec.size), dtype=complex)
+        width = vec.size if rows is None else rows.shape[1]
+        values = np.empty((n_samples, width))
+        cols = np.empty((n_long, vec.size))
         last = n_samples - 1
         for i in range(n_long):
             cols[i] = vec
             base = i * k
             pieces = r if i < n_long - 1 else piece[last - base] + 1
             for q in range(pieces):
-                terms = _chebyshev_terms(x, x2, vec, coef.shape[1])
+                terms = _chebyshev_terms(y, y2, sign, vec, coef.shape[1])
                 js = in_piece[q]
                 js = js[base + js <= last]
                 if js.size:
-                    read = terms if probes is None else terms @ probes
+                    read = terms if rows is None else terms @ rows
                     values[base + js] = coef[row[js]] @ read
                 vec = coef[k] @ terms
         return values, cols

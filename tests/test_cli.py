@@ -317,3 +317,23 @@ def test_write_csv_matches_csv_writer(tmp_path):
             writer.writerow([_fmt(x) for x in row])
     assert ours.read_bytes() == oracle.read_bytes()
     assert b'"a,""b"""' in ours.read_bytes()
+
+
+def test_cli_import_leaves_out_the_optimizer_and_the_ode_solver():
+    # only the fit, the gradient estimator and the full-space oracle use
+    # them, so every other CLI call starts without their import cost
+    import os
+    import subprocess
+    import sys
+
+    import spinstar
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spinstar.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, spinstar.cli\n"
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') "
+            "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from spinstar import lindblad
 from spinstar.chain import (
@@ -335,6 +336,108 @@ def _close(got, want):
     return np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
 
+def _complex_liouvillian(spec, noise):
+    # the Haken-Strobl generator on row-major vec(B), built here rather
+    # than read from the propagator, which carries the real form
+    h = sp.csr_matrix(single_excitation_matrix(build_coupling_graph(spec)))
+    n = h.shape[0]
+    eye = sp.identity(n, format="csr")
+    damping = np.full((n, n), -4.0 * noise.rate)
+    np.fill_diagonal(damping, 0.0)
+    # vec(h B) = (h x I) vec(B), vec(B h) = (I x h^T) vec(B)
+    return (-1j * (sp.kron(h, eye) - sp.kron(eye, h.T))
+            + sp.diags(damping.ravel())).tocsr()
+
+
+def _random_hermitian(rng, n):
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return a + a.conj().T
+
+
+def test_real_form_round_trip_is_an_isometry():
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 5, 33):
+        b = _random_hermitian(rng, n)
+        r = lindblad._real_form(b)
+        assert r.dtype == float
+        assert np.abs(lindblad._hermitian_form(r) - b).max() <= 1e-15 * np.abs(b).max()
+        assert abs(np.linalg.norm(r) - np.linalg.norm(b)) <= 1e-14 * np.linalg.norm(b)
+        # every real n x n matrix is the real form of one Hermitian block
+        r = rng.normal(size=(n, n))
+        back = lindblad._hermitian_form(r)
+        assert np.array_equal(back, back.conj().T)
+        assert np.abs(lindblad._real_form(back) - r).max() <= 1e-15 * np.abs(r).max()
+
+
+@pytest.mark.parametrize("limit", [10 ** 6, 0], ids=["dense", "sparse"])
+@pytest.mark.parametrize("spec", [
+    ChainSpec(m_chain=1), ChainSpec(m_chain=6), ChainSpec(m_chain=12),
+    ChainSpec(m_chain=9, lost_sites={2, 5}),
+    ChainSpec(m_chain=7, disorder=DisorderSpec(variance_nm2=0.25, seed=3)),
+], ids=lambda s: f"m{s.m_chain}-lost{len(s.lost_sites)}-dis{int(s.disorder is not None)}")
+def test_real_generator_matches_complex_liouvillian(spec, limit, monkeypatch):
+    # L_R vec(R) is the real form of L vec(B) on random Hermitian blocks
+    monkeypatch.setattr(lindblad, "DENSE_GRID_MAX", limit)
+    rng = np.random.default_rng(spec.m_chain)
+    for t2 in (math.inf, 1e-3, 1e-6):
+        noise = NoiseSpec(t2_s=t2)
+        prop = _arm_propagator(spec, noise)
+        assert prop.dense_grid == (limit > 0)
+        liouvillian = _complex_liouvillian(spec, noise)
+        n = spec.n_sites
+        for _ in range(3):
+            b = _random_hermitian(rng, n)
+            got = lindblad._hermitian_form(
+                (prop.liouvillian @ lindblad._real_form(b).ravel()).reshape(n, n))
+            want = (liouvillian @ b.ravel()).reshape(n, n)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), t2
+
+
+def test_kernel_step_matches_sparse_product():
+    # one call of the compiled CSR kernel adds 2Y v to s u in place
+    rng = np.random.default_rng(3)
+    spec = ChainSpec(m_chain=12)
+    y = _arm_propagator(spec, NoiseSpec(t2_s=1e-3)).liouvillian * 1e-6
+    u, v = rng.normal(size=(2, y.shape[0]))
+    for sign in (1.0, -1.0):
+        out = sign * u
+        lindblad._add_matvec(y * 2.0, v, out)
+        assert np.abs(out - (2.0 * (y @ v) + sign * u)).max() <= 1e-14 * np.abs(out).max()
+        terms = lindblad._chebyshev_terms(y, y * 2.0, sign, v, 4)
+        want = [v, y @ v]
+        want += [2.0 * (y @ want[1]) + sign * want[0]]
+        want += [2.0 * (y @ want[2]) + sign * want[1]]
+        assert np.abs(terms - np.array(want)).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("t2, sign", [(1e-3, 1.0), (1e-7, -1.0)])
+def test_chebyshev_recurrence_of_either_sign(t2, sign):
+    # a window-long piece has imaginary foci at T2 = 1 ms (recurrence
+    # P_{k+1} = 2Y P_k + P_{k-1}) and real ones at 0.1 us (T_k, sign -1)
+    from scipy.linalg import expm
+
+    spec = ChainSpec(m_chain=12)
+    noise = NoiseSpec(t2_s=t2)
+    prop = _arm_propagator(spec, noise)
+    window = default_window_s(spec)
+    assert prop._chebyshev(window, np.ones(1))[1] == sign
+    state0 = initial_transfer_state(spec)
+    got = prop.advance(state0, window).block11.ravel()
+    want = expm(_complex_liouvillian(spec, noise).toarray() * window) @ state0.block11.ravel()
+    assert _close(got, want)
+
+
+def test_propagator_rejects_a_non_hermitian_problem():
+    h1 = single_excitation_matrix(build_coupling_graph(ChainSpec(m_chain=2)))
+    for bad in (h1 * 1j, h1 + np.triu(h1)):
+        with pytest.raises(ValueError):
+            SectorPropagator(bad, NoiseSpec())
+    state = initial_transfer_state(ChainSpec(m_chain=2))
+    state.block11[0, 1] = 0.1
+    with pytest.raises(ValueError):
+        state.check()
+
+
 @pytest.mark.parametrize("spec, t2", CHEBYSHEV_CASES,
                          ids=lambda v: f"t2-{v:g}" if isinstance(v, float) else
                          f"m{v.m_chain}-lost{len(v.lost_sites)}-dis{int(v.disorder is not None)}")
@@ -350,7 +453,7 @@ def test_chebyshev_branch_matches_dense_expm(spec, t2):
     noise = NoiseSpec(t2_s=t2)
     prop = _arm_propagator(spec, noise)
     assert not (prop.dense_grid or prop.dense_advance)
-    liouvillian = prop.liouvillian.toarray()
+    liouvillian = _complex_liouvillian(spec, noise).toarray()
     state0 = initial_transfer_state(spec)
     b0 = state0.block11.ravel()
     n = state0.n_sites
@@ -393,7 +496,8 @@ def test_chebyshev_pieces_stay_short_on_long_windows():
     from scipy.linalg import expm
 
     spec = ChainSpec(m_chain=12)
-    prop = _arm_propagator(spec, NoiseSpec(t2_s=math.inf))
+    noise = NoiseSpec(t2_s=math.inf)
+    prop = _arm_propagator(spec, noise)
     state0 = initial_transfer_state(spec)
     t_end = 100 * default_window_s(spec)
     tracemalloc.start()
@@ -402,7 +506,8 @@ def test_chebyshev_pieces_stay_short_on_long_windows():
     tracemalloc.stop()
     assert peak < 10e6
     assert _close(blocks[-1].ravel(),
-                  expm(prop.liouvillian.toarray() * t_end) @ state0.block11.ravel())
+                  expm(_complex_liouvillian(spec, noise).toarray() * t_end)
+                  @ state0.block11.ravel())
 
 
 def test_chebyshev_branch_matches_expm_multiply_at_m31():
@@ -420,7 +525,8 @@ def test_chebyshev_branch_matches_expm_multiply_at_m31():
     probes /= np.linalg.norm(probes, axis=0)
     times, readings, _, _ = prop.on_grid(state0.block11, default_window_s(spec), 2001, probes)
     picks = [1, 700, 1999, 2000]
-    want = np.array([expm_multiply(prop.liouvillian * times[i], b0) for i in picks])
+    liouvillian = _complex_liouvillian(spec, noise)
+    want = np.array([expm_multiply(liouvillian * times[i], b0) for i in picks])
     assert _close(readings[picks], want @ probes)
     assert _close(prop.advance(state0, times[700]).block11.ravel(), want[1])
 
