@@ -229,13 +229,13 @@ def _probe_rows(n: int) -> np.ndarray:
     return probes
 
 
-def _probe_pairs(prop: SectorPropagator, state0: SectorState, times,
+def _probe_pairs(state0: SectorState, coh: np.ndarray,
                  readings: np.ndarray) -> np.ndarray:
-    """Register-pair states at `times` from the probe readings there."""
+    """Register-pair states from the probe readings and the vacuum
+    coherences `coh` of sites 0 and n-1, shape (N, 2), at the same times."""
     trace, pop0, pop_last, b0l = readings.T
-    coh = prop.coherences(state0.block01, times)
     return _pair_states(state0.block00, trace, pop0, pop_last,
-                        coh[:, 0], coh[:, -1], b0l)
+                        coh[:, 0], coh[:, 1], b0l)
 
 
 def _coarse_pass(prop: SectorPropagator, state0: SectorState, window: float,
@@ -243,14 +243,18 @@ def _coarse_pass(prop: SectorPropagator, state0: SectorState, window: float,
     """E_F of the register pair on a uniform grid over [0, window].
 
     :meth:`SectorPropagator.on_grid` carries the four probe rows of
-    :func:`_probe_rows` rather than the whole block.  E_F comes from
+    :func:`_probe_rows` rather than the whole block, and
+    :meth:`SectorPropagator.grid_coherences` forms the two vacuum
+    coherences from the same strides.  E_F comes from
     :func:`sector_pair_eof`, which reads B[0,last].
 
     Returns (times, E_F, K, B at the long strides iK dt).
     """
+    n = state0.n_sites
     times, readings, k, blocks = prop.on_grid(state0.block11, window, n_samples,
-                                              _probe_rows(state0.n_sites))
-    pairs = _probe_pairs(prop, state0, times, readings)
+                                              _probe_rows(n))
+    coh = prop.grid_coherences(state0.block01, times[1], n_samples, k, [0, n - 1])
+    pairs = _probe_pairs(state0, coh, readings)
     return times, sector_pair_eof(pairs), k, blocks
 
 
@@ -308,7 +312,8 @@ def max_entanglement_scan(
     if efs[i_max] >= e_star:   # never report worse than the grid
         tau_star, e_star = times[i_max], float(efs[i_max])
     checked = np.array(visited + [tau_star])
-    pairs = _probe_pairs(prop, state0, checked, series(checked - lo))
+    coh = prop.coherences(state0.block01, checked)[:, [0, -1]]
+    pairs = _probe_pairs(state0, coh, series(checked - lo))
     assert_sector_pairs(pairs)
 
     insert = int(np.searchsorted(times, tau_star))

@@ -21,6 +21,7 @@ from .lindblad import NoiseSpec
 
 # NV- electron gyromagnetic ratio, rad s^-1 T^-1
 GAMMA_NV = 2 * math.pi * 28.03e9
+MIN_AMPLITUDE = 0.05   # weakest coherence oscillation a gradient is read from
 
 
 class EstimationError(RuntimeError):
@@ -320,43 +321,60 @@ def gradient_coherence(
 def _sinusoid_sse(t: np.ndarray, y: np.ndarray, w_grid: np.ndarray) -> np.ndarray:
     """Least-squares residual of y against a*cos(w t) + b*sin(w t), per w.
 
-    One stacked SVD of the (w, t, 2) bases; singular values below
-    lstsq's default cutoff eps*max(T, 2)*sigma_max are dropped, as
-    ``lstsq(rcond=None)`` drops them.
+    `y` is one series, shape (T,), or S of them as columns, (T, S); the
+    result is (W,) or (W, S).  The basis [a, b] = [cos(w t), sin(w t)]
+    is built once for all series.  Per w, the columns are pivoted so
+    that a is the longer, q1 = a/|a|, and b is orthogonalised against q1
+    by Gram-Schmidt, run twice, leaving b_perp.  The triangular factor
+    gives the singular values: s1^2 + s2^2 = |a|^2 + |b|^2 and
+    s1 s2 = |a| |b_perp|.  As ``lstsq(rcond=None)`` does, the second
+    direction q2 = b_perp/|b_perp| is dropped where
+    s2 <= eps*max(T, 2)*s1, and the residual is
+    |y|^2 - (q1.y)^2 - keep*(q2.y)^2, one (W, T) @ (T, S) product per
+    direction.
     """
     phase = w_grid[:, None] * t
-    u, sv, _ = np.linalg.svd(np.stack([np.cos(phase), np.sin(phase)], axis=-1),
-                             full_matrices=False)
-    keep = sv > np.finfo(float).eps * max(len(t), 2) * sv[:, :1]
-    r = y - np.einsum("wtk,wk->wt", u, np.einsum("wtk,t->wk", u, y) * keep)
-    return np.einsum("wt,wt->w", r, r)
+    q1 = np.cos(phase)
+    b_perp = np.sin(phase, out=phase)
+    na2, nb2 = np.einsum("wt,wt->w", q1, q1), np.einsum("wt,wt->w", b_perp, b_perp)
+    swap = nb2 > na2
+    q1[swap], b_perp[swap] = b_perp[swap], q1[swap]
+    r11 = np.sqrt(np.maximum(na2, nb2))
+    q1 /= r11[:, None]
+    for _ in range(2):
+        b_perp -= np.einsum("wt,wt->w", q1, b_perp)[:, None] * q1
+    r22 = np.sqrt(np.einsum("wt,wt->w", b_perp, b_perp))
+    total, det = na2 + nb2, r11 * r22
+    s1 = np.sqrt(0.5 * (total + np.sqrt(np.maximum(total * total - 4.0 * det * det, 0.0))))
+    keep = det / s1 > np.finfo(float).eps * max(len(t), 2) * s1
+    b_perp *= (keep / np.where(keep, r22, 1.0))[:, None]   # q2, or 0 where dropped
+    return np.einsum("t...,t...->...", y, y) - (q1 @ y) ** 2 - (b_perp @ y) ** 2
 
 
-def estimate_gradient(
-    times_s, series, gamma: float = GAMMA_NV, d_nm: float = 50.0,
-    min_amplitude: float = 0.05,
-) -> float:
-    """Recover the gradient magnitude from a coherence oscillation.
-
-    Fits ``A*cos(w*t + phi)`` by coarse frequency search plus nonlinear
-    refinement and returns ``w/(gamma*D)``.  Series spanning less than
-    half an oscillation period, or with fitted amplitude below
-    `min_amplitude`, are rejected.
-    """
-    from scipy.optimize import curve_fit
-
+def _coarse_frequencies(times_s, *series) -> tuple:
+    """Checked readout times, the series as float arrays, and the coarse
+    frequency of each series: the argmin of :func:`_sinusoid_sse` on 2048
+    frequencies from pi/span to pi/min(dt), one basis for all series."""
     t = np.asarray(times_s, dtype=float)
-    y = np.asarray(series, dtype=float)
-    if t.ndim != 1 or t.shape != y.shape or len(t) < 8:
+    ys = [np.asarray(y, dtype=float) for y in series]
+    if t.ndim != 1 or any(y.shape != t.shape for y in ys) or len(t) < 8:
         raise EstimationError("need at least 8 samples of a 1-d series")
-    span = t[-1] - t[0]
-    if span <= 0:
-        raise EstimationError("time grid must span a positive interval")
+    if not np.isfinite(t).all():
+        raise EstimationError("readout times must be finite")
+    dts = np.diff(t)
+    if dts.min() <= 0:
+        raise EstimationError("readout times must increase strictly")
+    if not all(np.isfinite(y).all() for y in ys):
+        raise EstimationError("series must be finite")
+    w_grid = np.linspace(math.pi / (t[-1] - t[0]), math.pi / dts.min(), 2048)
+    sse = _sinusoid_sse(t, np.stack(ys, axis=1), w_grid)
+    return t, ys, w_grid[np.argmin(sse, axis=0)]
 
-    # coarse search over frequencies resolvable on the grid
-    dt = np.diff(t).min()
-    w_grid = np.linspace(math.pi / span, math.pi / dt, 2048)
-    w0 = float(w_grid[int(np.argmin(_sinusoid_sse(t, y, w_grid)))])
+
+def _refine_frequency(t: np.ndarray, y: np.ndarray, w0: float, gamma: float,
+                      d_nm: float, min_amplitude: float) -> float:
+    """Gradient from a nonlinear fit of ``A*cos(w*t + phi)`` seeded at `w0`."""
+    from scipy.optimize import curve_fit
 
     def model(tt, amp, w, phi):
         return amp * np.cos(w * tt + phi)
@@ -369,22 +387,44 @@ def estimate_gradient(
     amp, w_fit = abs(float(popt[0])), abs(float(popt[1]))
     if amp < min_amplitude:
         raise EstimationError(f"oscillation amplitude {amp:.3f} too weak to fit")
-    if w_fit * span < math.pi:
+    if w_fit * (t[-1] - t[0]) < math.pi:
         raise EstimationError("series spans less than half an oscillation period")
     return w_fit / (gamma * d_nm * 1e-9)
+
+
+def estimate_gradient(
+    times_s, series, gamma: float = GAMMA_NV, d_nm: float = 50.0,
+    min_amplitude: float = MIN_AMPLITUDE,
+) -> float:
+    """Recover the gradient magnitude from a coherence oscillation.
+
+    Fits ``A*cos(w*t + phi)`` by coarse frequency search plus nonlinear
+    refinement and returns ``w/(gamma*D)``.  Readout times must be
+    finite and strictly increasing and the series finite.  Series
+    spanning less than half an oscillation period, or with fitted
+    amplitude below `min_amplitude`, are rejected.
+    """
+    t, (y,), (w0,) = _coarse_frequencies(times_s, series)
+    return _refine_frequency(t, y, float(w0), gamma, d_nm, min_amplitude)
 
 
 def estimate_gradient_xy(
     pair: np.ndarray, grad: GradientSpec
 ) -> tuple[float, float]:
-    """Two-round gradient readout: a pair along x, then a pair along y."""
+    """Two-round gradient readout: a pair along x, then a pair along y.
+
+    Both readouts share the time grid, so one coarse search projects the
+    two series on one basis; each is then refined as in
+    :func:`estimate_gradient`, x first, and gives the same value.
+    """
     if not grad.times_s:
         raise ValueError("gradient spec carries no readout times")
     d = grad.d_nm
     sx = gradient_coherence(pair, grad, (0.0, 0.0), (d, 0.0))
     sy = gradient_coherence(pair, grad, (0.0, 0.0), (0.0, d))
-    gx = estimate_gradient(grad.times_s, sx, grad.gamma, d)
-    gy = estimate_gradient(grad.times_s, sy, grad.gamma, d)
+    t, (yx, yy), (wx, wy) = _coarse_frequencies(grad.times_s, sx, sy)
+    gx = _refine_frequency(t, yx, float(wx), grad.gamma, d, MIN_AMPLITUDE)
+    gy = _refine_frequency(t, yy, float(wy), grad.gamma, d, MIN_AMPLITUDE)
     return gx, gy
 
 

@@ -576,6 +576,23 @@ class SectorPropagator:
         amp = self.modes.conj().T @ block01
         return (np.exp(-(1j * self.energies + 2.0 * self.gamma) * t) * amp) @ self.modes.T
 
+    def grid_coherences(self, block01: np.ndarray, dt: float, n_samples: int, k: int,
+                        sites) -> np.ndarray:
+        """Columns `sites` of :meth:`coherences` at t = m dt, m < `n_samples`.
+
+        Sample iK + j, K = `k` the stride of :meth:`on_grid`, factors as
+        exp(-(iE + 2 Gamma) iK dt) exp(-(iE + 2 Gamma) j dt), so the grid
+        takes n_long + K rows of exponentials, not n_samples, and one
+        (n_long, n) @ (n, K) product per site; shape (n_samples, len(sites)).
+        """
+        rate = -(1j * self.energies + 2.0 * self.gamma) * dt
+        n_long = (n_samples - 1) // k + 1
+        long = np.exp(rate * (k * np.arange(n_long))[:, None])
+        short = np.exp(rate * np.arange(k)[:, None])
+        weights = (self.modes.conj().T @ block01) * self.modes[sites]
+        coh = (long * weights[:, None, :]) @ short.T
+        return coh.reshape(len(sites), -1)[:, :n_samples].T
+
     def _chebyshev(self, span: float, fractions: np.ndarray) -> tuple:
         """Cut `span` into r equal pieces for the Chebyshev series.
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -276,6 +277,101 @@ def test_sinusoid_sse_matches_lstsq_per_frequency():
 def test_estimate_gradient_rejects_short_series():
     with pytest.raises(EstimationError):
         estimate_gradient(np.linspace(0, 1, 4), np.ones(4))
+
+
+def _lstsq_sse(times, series, w_grid):
+    loop = []
+    for w in w_grid:
+        basis = np.column_stack([np.cos(w * times), np.sin(w * times)])
+        coef, *_ = np.linalg.lstsq(basis, series, rcond=None)
+        r = series - basis @ coef
+        loop.append(r @ r)
+    return np.array(loop)
+
+
+def test_sinusoid_sse_random_oracle():
+    # seeded series against one lstsq per frequency on the search grid of
+    # estimate_gradient, over uniform, random and half-integer grids and
+    # four noise levels.  At the top frequency of the quarter-offset grid
+    # the cosine column vanishes to rounding, so only the pivot keeps the
+    # sine direction.  At the top frequency of the jittered grid the two
+    # columns are parallel to ~1e-10 yet above the cutoff; a least-squares
+    # residual is then fixed only to ~eps/1e-10 of the part of y outside
+    # the basis, so that grid takes a near-top-frequency series with small
+    # noise, and needs both Gram-Schmidt passes and the cutoff on s2 itself
+    rng = np.random.default_rng(2024)
+    grids = [np.linspace(0.0, 1.0, 64), np.sort(rng.uniform(0.0, 1.0, 40)),
+             0.5 * np.arange(64), 0.25 + 0.5 * np.arange(64)]
+    cases = [(times, 0.7 * np.cos(23.0 * times + 0.4) + noise * rng.normal(size=len(times)))
+             for times in grids for noise in (0.0, 1e-3, 1e-2, 0.3)]
+    jittered = 0.3 + 0.5 * np.arange(64) + 1e-11 * rng.normal(size=64)
+    top = math.pi / np.diff(jittered).min()
+    cases += [(jittered, np.cos(top * jittered + 0.3) + noise * rng.normal(size=64))
+              for noise in (0.0, 1e-3, 1e-2)]
+    for times, series in cases:
+        w_grid = np.linspace(math.pi / (times[-1] - times[0]),
+                             math.pi / np.diff(times).min(), 2048)
+        loop = _lstsq_sse(times, series, w_grid)
+        got = _sinusoid_sse(times, series, w_grid)
+        assert np.abs(got - loop).max() < 1e-12 * (series @ series)
+        assert np.argmin(got) == np.argmin(loop)
+
+
+def test_sinusoid_sse_of_a_stack_matches_single_series():
+    # one basis for S series; BLAS may sum a one-column product in another
+    # order, so columns agree to rounding and share the argmin
+    rng = np.random.default_rng(7)
+    times = np.sort(rng.uniform(0.0, 2.0, 50))
+    w_grid = np.linspace(math.pi / (times[-1] - times[0]),
+                         math.pi / np.diff(times).min(), 2048)
+    stack = np.column_stack([a * np.cos(w * times + p) + 0.1 * rng.normal(size=50)
+                             for a, w, p in ((0.9, 7.0, 0.2), (0.3, 31.0, 1.1),
+                                             (0.6, 12.5, -0.7))])
+    got = _sinusoid_sse(times, stack, w_grid)
+    assert got.shape == (2048, 3)
+    for s in range(3):
+        single = _sinusoid_sse(times, stack[:, s], w_grid)
+        assert single.shape == (2048,)
+        norm2 = stack[:, s] @ stack[:, s]
+        assert np.abs(got[:, s] - single).max() < 1e-13 * norm2
+        assert np.argmin(got[:, s]) == np.argmin(single)
+
+
+@pytest.mark.parametrize("g", [(12.0, 5.0), (13.7, 10.2), (6.0, 0.5)],
+                         ids=["both", "close", "y-too-slow"])
+def test_two_round_readout_equals_two_single_estimates(g):
+    # one shared coarse search, then x and y refined as estimate_gradient
+    # refines them: the same numbers, or the same first error
+    d = 50.0
+    times = tuple(np.linspace(0, 2 * math.pi / (GAMMA_NV * g[0] * d * 1e-9), 64))
+    grad = GradientSpec(gx=g[0], gy=g[1], d_nm=d, times_s=times)
+    pair = ideal_bell_pair() * 0.8 + np.diag([0.2, 0, 0, 0])
+
+    def single(axis):
+        series = gradient_coherence(pair, grad, (0.0, 0.0), axis)
+        return estimate_gradient(times, series, grad.gamma, d)
+
+    try:
+        expected = (single((d, 0.0)), single((0.0, d)))
+    except EstimationError as exc:
+        with pytest.raises(EstimationError, match=re.escape(str(exc))):
+            estimate_gradient_xy(pair, grad)
+        return
+    assert estimate_gradient_xy(pair, grad) == expected
+
+
+_GRID = np.linspace(0.0, 1e-6, 32)
+
+
+@pytest.mark.parametrize("times, series, message", [
+    (np.r_[_GRID[:-1], _GRID[-2]], np.cos(2e7 * _GRID), "increase strictly"),
+    (np.random.default_rng(3).permutation(_GRID), np.cos(2e7 * _GRID), "increase strictly"),
+    (np.r_[_GRID[:-1], np.nan], np.cos(2e7 * _GRID), "times must be finite"),
+    (_GRID, np.r_[np.cos(2e7 * _GRID[:-1]), np.inf], "series must be finite"),
+], ids=["repeated", "shuffled", "nan-time", "inf-sample"])
+def test_estimate_gradient_rejects_bad_readout_grids(times, series, message):
+    with pytest.raises(EstimationError, match=message):
+        estimate_gradient(times, series)
 
 
 def test_two_round_readout_recovers_both_axes():

@@ -205,6 +205,40 @@ def _arm_propagator(spec, noise):
     return SectorPropagator(single_excitation_matrix(build_coupling_graph(spec)), noise)
 
 
+def _grid_coherence_error(spec, noise, window, n_samples):
+    # stride products against one exponential per grid time, for a seeded
+    # block01 that weights every mode; relative to the largest coherence
+    prop = _arm_propagator(spec, noise)
+    n = prop.energies.size
+    rng = np.random.default_rng(n)
+    block01 = rng.normal(size=n) + 1j * rng.normal(size=n)
+    times = np.linspace(0.0, window, n_samples)
+    k = math.isqrt(n_samples - 1) + 1   # the stride of on_grid
+    sites = [0, n - 1]
+    ref = prop.coherences(block01, times)[:, sites]
+    got = prop.grid_coherences(block01, times[1], n_samples, k, sites)
+    assert got.shape == ref.shape
+    return np.abs(got - ref).max() / np.abs(ref).max()
+
+
+@pytest.mark.parametrize("t2", [math.inf, 1e-3, 1e-6])
+def test_grid_coherences_match_coherences(t2):
+    noise = NoiseSpec(t2_s=t2)
+    specs = [ChainSpec(m_chain=m) for m in range(1, 32)] + [
+        ChainSpec(m_chain=7, lost_sites={3}),
+        ChainSpec(m_chain=5, disorder=DisorderSpec(variance_nm2=0.25, seed=3))]
+    for spec in specs:
+        for n_samples in (2001, 402):
+            error = _grid_coherence_error(spec, noise, default_window_s(spec), n_samples)
+            assert error < 1e-13, (spec, n_samples)
+
+
+def test_grid_coherences_on_an_extended_window():
+    spec, noise = ChainSpec(m_chain=27), NoiseSpec(t2_s=math.inf)
+    assert max_entanglement_scan(spec, noise, n_samples=201).extended
+    assert _grid_coherence_error(spec, noise, 2.0 * default_window_s(spec), 201) < 1e-13
+
+
 def test_branch_by_arm_size():
     # n = M + 2 sites less the lost ones; the crossovers sit at n^2 = 169
     # on the grid and n^2 = 49 in advance
