@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 invalid configuration, 3 physics rejection
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -166,27 +167,35 @@ def _cell(x) -> str:
     return text
 
 
-def write_csv(path, header, rows) -> None:
-    """UTF-8 CSV with a header row; floats carry 12 significant digits.
+def _column_format(col: np.ndarray) -> str:
+    if col.dtype == np.float64:
+        return "%.12g"
+    if col.dtype.kind in "iu":
+        return "%d"
+    raise TypeError(f"CSV column of dtype {col.dtype}; float64 or integer expected")
 
-    The text is what csv.writer writes for the cells of :func:`_fmt`
-    (minimal quoting, CRLF line ends).  Each row is formatted by one
-    %-format, shared by every row of the same cell types; a row whose
-    text holds a quote, a line break or an extra comma has a cell csv
-    would quote, and is formatted cell by cell instead.
+
+def write_csv(path, header, blocks) -> None:
+    """UTF-8 CSV with a header row, written block by block.
+
+    Each block is ``(lead, columns)``: `lead` holds the cells that open
+    every row of the block, `columns` one or more equal-length 1-d float64
+    or integer arrays, one per remaining cell.  The text is what
+    csv.writer writes for the cells of :func:`_fmt` (minimal quoting, CRLF
+    line ends): floats carry 12 significant digits, integers print as
+    ``str``.  A block's rows share one %-format, with the lead cells
+    formatted once.
     """
-    formats: dict = {}
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(map(_cell, header)) + "\r\n")
-        for row in rows:
-            key = tuple(map(type, row))
-            if key not in formats:
-                formats[key] = ",".join("%.12g" if issubclass(t, float) else "%s"
-                                        for t in key)
-            line = formats[key] % tuple(row)
-            if line.count(",") >= len(key) or '"' in line or "\r" in line or "\n" in line:
-                line = ",".join(map(_cell, row))
-            fh.write(line + "\r\n")
+        for lead, columns in blocks:
+            columns = [np.asarray(c) for c in columns]
+            if not columns:
+                raise ValueError("a CSV block needs at least one column")
+            cells = [_cell(x).replace("%", "%%") for x in lead]
+            fmt = ",".join(cells + [_column_format(c) for c in columns]) + "\r\n"
+            fh.write("".join(map(fmt.__mod__,
+                                 zip(*(c.tolist() for c in columns), strict=True))))
 
 
 def write_manifest(outdir, cfg: RunConfig, outputs, wall_time: float,
@@ -220,6 +229,11 @@ def _chain_spec(p: dict, m=None, lost=frozenset(), disorder=None) -> ChainSpec:
     )
 
 
+def _base_spec(p: dict) -> ChainSpec:
+    """Spacing and couplings of a campaign; the campaign sets each length."""
+    return _chain_spec(p, m=1)
+
+
 def _noise(p: dict) -> NoiseSpec:
     return NoiseSpec(t2_s=p["t2_ms"] * 1e-3)
 
@@ -247,9 +261,9 @@ def _cmd_spectrum(cfg: RunConfig, outdir: str) -> list:
     for j, m, e in levels:
         key = (j, m, round(e, 12))
         counted[key] = counted.get(key, 0) + 1
-    rows = [(j, m, e, c) for (j, m, e), c in sorted(counted.items())]
     path = os.path.join(outdir, "spectrum.csv")
-    write_csv(path, ["j", "m", "energy", "multiplicity"], rows)
+    write_csv(path, ["j", "m", "energy", "multiplicity"],
+              [((), ([j], [m], [e], [c])) for (j, m, e), c in sorted(counted.items())])
     return [path]
 
 
@@ -286,17 +300,14 @@ def _cmd_evolve(cfg: RunConfig, outdir: str) -> list:
     if traj.kind == "sector":
         e_f = sector_pair_eof(np.array(pairs))
     else:   # the general concurrence stays the full-space oracle
-        e_f = [eof(pr) for pr in pairs]
-    pop0 = observable_expectation(traj, ("pop", 0))
-    pop_end = observable_expectation(traj, ("pop", traj.n_sites - 1))
-    n_exc = observable_expectation(traj, ("n_exc",))
-    rows = [
-        (traj.times_kt[k], traj.times_s[k], pop0[k], pop_end[k], n_exc[k], e_f[k])
-        for k in range(len(traj.times_s))
-    ]
+        e_f = np.array([eof(pr) for pr in pairs])
+    columns = [traj.times_kt, traj.times_s,
+               observable_expectation(traj, ("pop", 0)),
+               observable_expectation(traj, ("pop", traj.n_sites - 1)),
+               observable_expectation(traj, ("n_exc",)), e_f]
     path = os.path.join(outdir, "evolve.csv")
     write_csv(path, ["time_kt", "time_s", "pop_register0", "pop_register_end",
-                     "n_exc", "e_f"], rows)
+                     "n_exc", "e_f"], [((), columns)])
     return [path]
 
 
@@ -305,9 +316,9 @@ def _cmd_scan(cfg: RunConfig, outdir: str) -> list:
     _check_geometry(p, [p["m"]])
     result = max_entanglement_scan(_chain_spec(p), _noise(p), **_scan_kwargs(p))
     curve_path = os.path.join(outdir, "fig3.csv")
-    rows = [(kt, kt / result.kappa_angular, ef)
-            for kt, ef in zip(result.curve_kt, result.curve_ef)]
-    write_csv(curve_path, ["tau_kt", "tau_s", "e_f"], rows)
+    kt = result.curve_kt
+    write_csv(curve_path, ["tau_kt", "tau_s", "e_f"],
+              [((), (kt, kt / result.kappa_angular, result.curve_ef))])
     summary_path = os.path.join(outdir, "scan.json")
     payload = result.summary()
     payload.update({"m": p["m"], "t2_ms": p["t2_ms"], "seed": p["seed"],
@@ -322,18 +333,17 @@ def _cmd_scan(cfg: RunConfig, outdir: str) -> list:
 def _cmd_sweep(cfg: RunConfig, outdir: str) -> list:
     p = cfg.params
     _check_geometry(p, p["ms"])
-    points = sweep_length(p["ms"], _noise(p), n_outer=p["n"], **_scan_kwargs(p))
+    points = sweep_length(p["ms"], _noise(p), n_outer=p["n"], base_spec=_base_spec(p),
+                          **_scan_kwargs(p))
     points = sorted(points, key=lambda pt: pt.m_chain)
-    curve_rows = []
-    for pt in points:
-        curve_rows += [(pt.m_chain, kt, ef)
-                       for kt, ef in zip(pt.result.curve_kt, pt.result.curve_ef)]
     a_path = os.path.join(outdir, "fig4a.csv")
-    write_csv(a_path, ["m", "tau_kt", "e_f"], curve_rows)
+    write_csv(a_path, ["m", "tau_kt", "e_f"],
+              [((pt.m_chain,), (pt.result.curve_kt, pt.result.curve_ef))
+               for pt in points])
     b_path = os.path.join(outdir, "fig4b.csv")
     write_csv(b_path, ["m", "tau_star_kt", "tau_star_s", "e_m"],
-              [(pt.m_chain, pt.result.tau_star_kt, pt.result.tau_star_s,
-                pt.result.e_m) for pt in points])
+              [((pt.m_chain,), ([pt.result.tau_star_kt], [pt.result.tau_star_s],
+                                [pt.e_m])) for pt in points])
     return [a_path, b_path]
 
 
@@ -343,11 +353,13 @@ def _cmd_fit(cfg: RunConfig, outdir: str) -> list:
     grid = []
     for t2_ms in p["t2s_ms"]:
         noise = NoiseSpec(t2_s=t2_ms * 1e-3)
-        for pt in sweep_length(p["ms"], noise, n_outer=p["n"], **_scan_kwargs(p)):
+        for pt in sweep_length(p["ms"], noise, n_outer=p["n"], base_spec=_base_spec(p),
+                               **_scan_kwargs(p)):
             grid.append((pt.m_chain, t2_ms, pt.e_m))
     grid.sort()
     grid_path = os.path.join(outdir, "emgrid.csv")
-    write_csv(grid_path, ["m", "t2_ms", "e_m"], grid)
+    write_csv(grid_path, ["m", "t2_ms", "e_m"],
+              [((m,), ([t2_ms], [em])) for m, t2_ms, em in grid])
     fit = fit_exponential([(m, t2_ms * 1e-3, em) for m, t2_ms, em in grid])
     fit_path = os.path.join(outdir, "fit.json")
     with open(fit_path, "w", encoding="utf-8") as fh:
@@ -362,15 +374,15 @@ def _cmd_disorder(cfg: RunConfig, outdir: str) -> list:
     _check_geometry(p, p["ms"])
     table = disorder_monte_carlo(p["ms"], _noise(p), runs=p["runs"],
                                  variance=p["variance"], seed=p["seed"],
-                                 **_scan_kwargs(p))
+                                 base_spec=_base_spec(p), **_scan_kwargs(p))
     table = sorted(table, key=lambda row: row.m_chain)
     path = os.path.join(outdir, "fig6.csv")
     write_csv(path, ["m", "mean_em", "std_em"],
-              [(row.m_chain, row.mean_em, row.std_em) for row in table])
+              [((row.m_chain,), ([row.mean_em], [row.std_em])) for row in table])
     runs_path = os.path.join(outdir, "disorder_runs.csv")
-    run_rows = [(row.m_chain, k, v)
-                for row in table for k, v in enumerate(row.values)]
-    write_csv(runs_path, ["m", "run", "e_m"], run_rows)
+    write_csv(runs_path, ["m", "run", "e_m"],
+              [((row.m_chain,), (np.arange(len(row.values)), np.array(row.values)))
+               for row in table])
     return [path, runs_path]
 
 
@@ -384,15 +396,15 @@ def _cmd_loss(cfg: RunConfig, outdir: str) -> tuple[list, list]:
             if m < n_lost or (n_lost == 2 and m < 3):
                 notes.append(f"m={m} n_lost={n_lost}: no admissible configurations")
                 continue
-            report = loss_study(int(m), _noise(p), n_lost, **_scan_kwargs(p))
+            report = loss_study(int(m), _noise(p), n_lost,
+                                base_spec=_base_spec(p), **_scan_kwargs(p))
             if report.expectation is None:
                 notes.append(f"m={m} n_lost={n_lost}: no admissible configurations")
                 continue
-            b_rows.append((m, n_lost, report.expectation))
-            for cfg_sites, res in zip(report.configs, report.results):
-                label = "+".join(str(s) for s in cfg_sites)
-                cd_rows += [(m, n_lost, label, kt, ef)
-                            for kt, ef in zip(res.curve_kt, res.curve_ef)]
+            b_rows.append(((m, n_lost), ([report.expectation],)))
+            cd_rows += [((m, n_lost, "+".join(map(str, cfg_sites))),
+                         (res.curve_kt, res.curve_ef))
+                        for cfg_sites, res in zip(report.configs, report.results)]
     b_path = os.path.join(outdir, "fig7b.csv")
     write_csv(b_path, ["m", "n_lost", "mean_em"], b_rows)
     cd_path = os.path.join(outdir, "fig7cd.csv")
@@ -414,7 +426,7 @@ def _cmd_gradient(cfg: RunConfig, outdir: str) -> list:
         pair = distributed_pair(_chain_spec(p, m=m), _noise(p), **_scan_kwargs(p))
         series = gradient_coherence(pair, grad, (0.0, 0.0), (p["d_nm"], 0.0))
         gdt = GAMMA_NV * p["gx"] * p["d_nm"] * 1e-9 * np.asarray(times)
-        rows += [(m, float(x), float(c)) for x, c in zip(gdt, series)]
+        rows.append(((m,), (gdt, series)))
         try:
             gx_hat, gy_hat = estimate_gradient_xy(pair, grad)
             estimates[str(m)] = {"gx": gx_hat, "gy": gy_hat,
@@ -444,7 +456,9 @@ _HANDLERS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="spinstar",
         description="Entanglement distribution over dipolar spin-chain arms: "

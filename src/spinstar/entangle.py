@@ -72,15 +72,42 @@ def eof(rho: np.ndarray) -> float:
     return eof_from_concurrence(concurrence(rho))
 
 
+def _check_support(p00, p11, p22, a01, a02, a12) -> None:
+    """Check register-pair states given by their 3x3 support A on {00, 01, 10}.
+
+    `p00`, `p11`, `p22` are the real diagonal of A and `a01`, `a02`, `a12`
+    the entries above it.  Each state must be finite and of unit trace at
+    the qops trace tolerance, and A has no eigenvalue below -_CLAMP_TOL
+    exactly when all seven principal minors of ``A + _CLAMP_TOL*I`` are
+    non-negative.  A state that fails came out of a propagation, so this
+    raises IntegrationError.
+    """
+    if not all(np.isfinite(x).all() for x in (p00, p11, p22, a01, a02, a12)):
+        raise IntegrationError("register-pair state is not finite")
+    tr = np.ravel(p00 + p11 + p22)
+    bad = np.abs(tr - 1.0) > DENSITY_TRACE_TOL
+    if bad.any():
+        raise IntegrationError(f"register-pair state trace {tr[bad][0]} deviates from 1")
+    d0, d1, d2 = p00 + _CLAMP_TOL, p11 + _CLAMP_TOL, p22 + _CLAMP_TOL
+    s01, s02, s12 = np.abs(a01) ** 2, np.abs(a02) ** 2, np.abs(a12) ** 2
+    minors = (
+        d0, d1, d2, d0 * d1 - s01, d0 * d2 - s02, d1 * d2 - s12,
+        d0 * d1 * d2 + 2.0 * (a01 * a12 * np.conj(a02)).real
+        - d0 * s12 - d1 * s02 - d2 * s01,
+    )
+    if min(np.min(m) for m in minors) < 0:
+        raise IntegrationError(
+            f"register-pair state has an eigenvalue below -{_CLAMP_TOL:.0e}")
+
+
 def assert_sector_pairs(pairs: np.ndarray) -> None:
     """Check a stack of register-pair states, shape (..., 4, 4), in closed form.
 
-    Each state must be finite, Hermitian and of unit trace at the qops
-    density tolerances, and carry no |11> weight: its |11> row and column are
-    zero, the precondition of C = 2|rho_{10,01}|.  Its 3x3 support A then
-    has no eigenvalue below -_CLAMP_TOL exactly when all seven principal
-    minors of ``A + _CLAMP_TOL*I`` are non-negative.  A state that fails
-    came out of a propagation, so this raises IntegrationError.
+    Each state must be finite and Hermitian at the qops density tolerance
+    and carry no |11> weight: its |11> row and column are zero, the
+    precondition of C = 2|rho_{10,01}|.  Its 3x3 support, with the
+    off-diagonal entries averaged with their mirrors, then goes through
+    the trace and positivity check of :func:`assert_sector_readings`.
     """
     pairs = np.asarray(pairs)
     if pairs.shape[-2:] != (4, 4):
@@ -90,24 +117,11 @@ def assert_sector_pairs(pairs: np.ndarray) -> None:
     adj = np.swapaxes(pairs, -1, -2).conj()
     if np.abs(pairs - adj).max() > DENSITY_HERMITIAN_TOL:
         raise IntegrationError("register-pair state is not Hermitian")
-    tr = np.ravel(np.trace(pairs, axis1=-2, axis2=-1))
-    bad = np.abs(tr - 1.0) > DENSITY_TRACE_TOL
-    if bad.any():
-        raise IntegrationError(f"register-pair state trace {tr[bad][0]} deviates from 1")
     if np.any(pairs[..., 3, :]) or np.any(pairs[..., :, 3]):
         raise IntegrationError("register-pair state has |11> weight")
-    d0, d1, d2 = (pairs[..., i, i].real + _CLAMP_TOL for i in range(3))
-    a01, a02, a12 = ((pairs[..., i, j] + adj[..., i, j]) / 2
-                     for i, j in ((0, 1), (0, 2), (1, 2)))
-    s01, s02, s12 = np.abs(a01) ** 2, np.abs(a02) ** 2, np.abs(a12) ** 2
-    minors = np.stack([
-        d0, d1, d2, d0 * d1 - s01, d0 * d2 - s02, d1 * d2 - s12,
-        d0 * d1 * d2 + 2.0 * (a01 * a12 * a02.conj()).real
-        - d0 * s12 - d1 * s02 - d2 * s01,
-    ])
-    if minors.min() < 0:
-        raise IntegrationError(
-            f"register-pair state has an eigenvalue below -{_CLAMP_TOL:.0e}")
+    _check_support(*(pairs[..., i, i].real for i in range(3)),
+                   *((pairs[..., i, j] + adj[..., i, j]) / 2
+                     for i, j in ((0, 1), (0, 2), (1, 2))))
 
 
 def sector_pair_eof(pairs: np.ndarray) -> np.ndarray:
@@ -120,22 +134,41 @@ def sector_pair_eof(pairs: np.ndarray) -> np.ndarray:
     return eof_from_concurrence(2.0 * np.abs(pairs[..., 2, 1]))
 
 
-def _pair_states(vacuum, trace, pop0, pop_last, coh0, coh_last, b0l) -> np.ndarray:
-    """Register-pair states, shape (..., 4, 4), from the sector entries they read.
+def _support(vacuum, trace, pop0, pop_last, coh0, coh_last, b0l) -> tuple:
+    """(p00, p11, p22, a01, a02, a12): the diagonal of the register pair's
+    support on {00, 01, 10} and the entries above it, from the sector
+    entries it reads.
 
     `trace` is tr B, `pop0`/`pop_last` and `b0l` are B[0,0], B[n-1,n-1]
     and B[0,n-1], `coh0`/`coh_last` the matching vacuum coherences.
     """
+    return (vacuum + np.real(trace - pop0 - pop_last), np.real(pop_last), np.real(pop0),
+            np.conj(coh_last), np.conj(coh0), np.conj(b0l))
+
+
+def assert_sector_readings(vacuum, trace, pop0, pop_last, coh0, coh_last, b0l) -> None:
+    """Check the register-pair states of the sector readings of :func:`_support`.
+
+    Pairs built from readings (:func:`_pair_states`) are Hermitian and free
+    of |11> weight by construction, so this is :func:`assert_sector_pairs`
+    on them, verdict for verdict, without building them: finiteness, the
+    trace and the seven principal minors, on the same values.
+    """
+    _check_support(*_support(vacuum, trace, pop0, pop_last, coh0, coh_last, b0l))
+
+
+def _pair_states(vacuum, trace, pop0, pop_last, coh0, coh_last, b0l) -> np.ndarray:
+    """Register-pair states, shape (..., 4, 4), from the sector entries they
+    read (see :func:`_support`)."""
+    p00, p11, p22, a01, a02, a12 = _support(vacuum, trace, pop0, pop_last,
+                                            coh0, coh_last, b0l)
     pair = np.zeros(np.shape(b0l) + (4, 4), dtype=complex)
-    pair[..., 0, 0] = vacuum + np.real(trace - pop0 - pop_last)
-    pair[..., 1, 1] = np.real(pop_last)
-    pair[..., 2, 2] = np.real(pop0)
-    pair[..., 1, 0] = coh_last
-    pair[..., 0, 1] = np.conj(coh_last)
-    pair[..., 2, 0] = coh0
-    pair[..., 0, 2] = np.conj(coh0)
-    pair[..., 2, 1] = b0l
-    pair[..., 1, 2] = np.conj(b0l)
+    pair[..., 0, 0] = p00
+    pair[..., 1, 1] = p11
+    pair[..., 2, 2] = p22
+    for (i, j), a in zip(((0, 1), (0, 2), (1, 2)), (a01, a02, a12)):
+        pair[..., i, j] = a
+        pair[..., j, i] = np.conj(a)
     return pair
 
 
@@ -229,13 +262,12 @@ def _probe_rows(n: int) -> np.ndarray:
     return probes
 
 
-def _probe_pairs(state0: SectorState, coh: np.ndarray,
-                 readings: np.ndarray) -> np.ndarray:
-    """Register-pair states from the probe readings and the vacuum
-    coherences `coh` of sites 0 and n-1, shape (N, 2), at the same times."""
+def _probe_readings(state0: SectorState, coh: np.ndarray, readings: np.ndarray) -> tuple:
+    """The sector readings of :func:`_support` from the probe readings and
+    the vacuum coherences `coh` of sites 0 and n-1, shape (N, 2), at the
+    same times."""
     trace, pop0, pop_last, b0l = readings.T
-    return _pair_states(state0.block00, trace, pop0, pop_last,
-                        coh[:, 0], coh[:, 1], b0l)
+    return state0.block00, trace, pop0, pop_last, coh[:, 0], coh[:, 1], b0l
 
 
 def _coarse_pass(prop: SectorPropagator, state0: SectorState, window: float,
@@ -245,8 +277,8 @@ def _coarse_pass(prop: SectorPropagator, state0: SectorState, window: float,
     :meth:`SectorPropagator.on_grid` carries the four probe rows of
     :func:`_probe_rows` rather than the whole block, and
     :meth:`SectorPropagator.grid_coherences` forms the two vacuum
-    coherences from the same strides.  E_F comes from
-    :func:`sector_pair_eof`, which reads B[0,last].
+    coherences from the same strides.  Every sample passes
+    :func:`assert_sector_readings`, and E_F comes from 2|B[0,last]|.
 
     Returns (times, E_F, K, B at the long strides iK dt).
     """
@@ -254,8 +286,8 @@ def _coarse_pass(prop: SectorPropagator, state0: SectorState, window: float,
     times, readings, k, blocks = prop.on_grid(state0.block11, window, n_samples,
                                               _probe_rows(n))
     coh = prop.grid_coherences(state0.block01, times[1], n_samples, k, [0, n - 1])
-    pairs = _probe_pairs(state0, coh, readings)
-    return times, sector_pair_eof(pairs), k, blocks
+    assert_sector_readings(*_probe_readings(state0, coh, readings))
+    return times, eof_from_concurrence(2.0 * np.abs(readings[:, 3])), k, blocks
 
 
 def max_entanglement_scan(
@@ -274,8 +306,9 @@ def max_entanglement_scan(
     the four probe readings over [lo, hi] up to the grid point after it.
     A golden-section search on that table, reading E_F from the closed-form
     concurrence 2|B[0,last]|, locates tau* to TAU_REFINE_KT in kappa*t.
-    Every visited state and the pair at tau* are checked together by
-    :func:`assert_sector_pairs` before the result is returned.
+    The readings of every visited point and of tau* are checked together by
+    :func:`assert_sector_readings` before the result is returned, and only
+    the pair at tau* is built as a 4x4 state.
     """
     window = default_window_s(spec) if t_end is None else t_end
     check_grid(window, n_samples)
@@ -313,8 +346,8 @@ def max_entanglement_scan(
         tau_star, e_star = times[i_max], float(efs[i_max])
     checked = np.array(visited + [tau_star])
     coh = prop.coherences(state0.block01, checked)[:, [0, -1]]
-    pairs = _probe_pairs(state0, coh, series(checked - lo))
-    assert_sector_pairs(pairs)
+    sector = _probe_readings(state0, coh, series(checked - lo))
+    assert_sector_readings(*sector)
 
     insert = int(np.searchsorted(times, tau_star))
     curve_t = np.insert(times, insert, tau_star)
@@ -327,6 +360,6 @@ def max_entanglement_scan(
         curve_ef=curve_e,
         interior=interior,
         extended=extended,
-        pair_state=pairs[-1],
+        pair_state=_pair_states(sector[0], *(x[-1] for x in sector[1:])),
         kappa_angular=kappa,
     )

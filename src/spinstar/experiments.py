@@ -232,13 +232,17 @@ class LossReport:
 
 
 def loss_study(
-    m_chain: int, noise: NoiseSpec, n_lost: int, **scan_kwargs
+    m_chain: int, noise: NoiseSpec, n_lost: int,
+    base_spec: ChainSpec | None = None, **scan_kwargs
 ) -> LossReport:
-    """Scan every admissible loss configuration of the given size."""
+    """Scan every admissible loss configuration of the given size.
+
+    `base_spec` carries spacing/coupling settings, as in :func:`sweep_length`.
+    """
     configs = loss_configurations(m_chain, n_lost)
     configs = sorted(configs, key=sorted)
-    results = [max_entanglement_scan(ChainSpec(m_chain=m_chain, lost_sites=cfg),
-                                     noise, **scan_kwargs)
+    base = _spec_for_length(m_chain, base_spec)
+    results = [max_entanglement_scan(replace(base, lost_sites=cfg), noise, **scan_kwargs)
                for cfg in configs]
     expectation = (float(np.mean([r.e_m for r in results]))
                    if results else None)

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from spinstar.chain import ChainSpec, DisorderSpec, loss_configurations
 from spinstar.cli import (
+    COMMAND_KEYS,
     DEFAULTS,
     EXIT_CONFIG,
     EXIT_NUMERIC,
@@ -16,7 +18,9 @@ from spinstar.cli import (
     main,
     parse_config_file,
 )
-from spinstar.lindblad import SectorPropagator
+from spinstar.entangle import max_entanglement_scan
+from spinstar.experiments import stable_seed
+from spinstar.lindblad import NoiseSpec, SectorPropagator
 from spinstar.star import StarSpec, star_spectrum_analytic
 
 FAST = ["--samples", "301"]
@@ -274,6 +278,72 @@ def test_help_documents_defaults(capsys):
     assert "default" in text
 
 
+def test_cached_parser_answers_like_a_fresh_one(capsys):
+    # main reuses one parser; help, version and usage errors come out as
+    # from a parser built afresh, on every call
+    fresh = build_parser.__wrapped__
+    argvs = [["--help"], ["--version"], ["scan", "--bogus", "1"], ["nonsense"], []]
+    argvs += [[command, "--help"] for command in COMMAND_KEYS]
+    for argv in argvs:
+        with pytest.raises(SystemExit) as exc:
+            fresh().parse_args(argv)
+        expected = (int(exc.value.code or 0), *capsys.readouterr())
+        for _ in range(2):
+            assert (main(argv), *capsys.readouterr()) == expected, argv
+    assert build_parser() is build_parser()
+
+
+def _csv_column(path, name):
+    lines = path.read_text().splitlines()
+    col = lines[0].split(",").index(name)
+    return [float(line.split(",")[col]) for line in lines[1:]]
+
+
+ARM_FLAGS = [
+    ({"kappa_hz": 13e3}, ["--kappa-hz", "13e3"]),
+    ({"spacing_nm": 12.0}, ["--r-nm", "12"]),
+    ({"delta_ratio": 0.7}, ["--delta-ratio", "0.7"]),
+]
+
+
+@pytest.mark.parametrize("arm, flags", ARM_FLAGS,
+                         ids=[flags[0].lstrip("-") for _, flags in ARM_FLAGS])
+def test_campaigns_honour_the_arm_flags(tmp_path, arm, flags):
+    # sweep, fit, disorder and loss scan the arm the flags describe: each
+    # e_m is the scan of that ChainSpec and differs from the default arm
+    def e_m(spec, t2_s=1e-3):
+        return max_entanglement_scan(spec, NoiseSpec(t2_s=t2_s), n_samples=301).e_m
+
+    def same(values, expected):
+        assert values == [float(f"{x:.12g}") for x in expected]
+
+    arm3 = ChainSpec(m_chain=3, **arm)
+    assert e_m(arm3) != e_m(ChainSpec(m_chain=3))
+
+    assert run_cli(tmp_path / "sweep", "sweep", "--ms", "3", *flags, *FAST) == EXIT_OK
+    same(_csv_column(tmp_path / "sweep" / "fig4b.csv", "e_m"), [e_m(arm3)])
+
+    assert run_cli(tmp_path / "fit", "fit", "--ms", "3,4,5", "--t2s-ms", "0.5,1,2",
+                   *flags, *FAST) == EXIT_OK
+    same(_csv_column(tmp_path / "fit" / "emgrid.csv", "e_m"),
+         [e_m(ChainSpec(m_chain=m, **arm), t2 * 1e-3) for m in (3, 4, 5)
+          for t2 in (0.5, 1.0, 2.0)])
+
+    assert run_cli(tmp_path / "dis", "disorder", "--ms", "3", "--runs", "2", *flags,
+                   *FAST) == EXIT_OK
+    same(_csv_column(tmp_path / "dis" / "disorder_runs.csv", "e_m"),
+         [e_m(ChainSpec(m_chain=3, **arm, disorder=DisorderSpec(
+             mean_nm=arm3.spacing_nm, variance_nm2=0.25,
+             seed=stable_seed(0, "disorder", 3, run)))) for run in range(2)])
+
+    assert run_cli(tmp_path / "loss", "loss", "--ms", "3", "--n-lost", "1", *flags,
+                   *FAST) == EXIT_OK
+    configs = sorted(loss_configurations(3, 1), key=sorted)
+    same(_csv_column(tmp_path / "loss" / "fig7b.csv", "mean_em"),
+         [float(np.mean([e_m(ChainSpec(m_chain=3, **arm, lost_sites=c))
+                         for c in configs]))])
+
+
 def test_outputs_confined_to_outdir(tmp_path, monkeypatch):
     workdir = tmp_path / "cwd"
     outdir = tmp_path / "out"
@@ -292,31 +362,53 @@ def test_outdir_from_environment(tmp_path, monkeypatch):
 
 
 def test_write_csv_matches_csv_writer(tmp_path):
-    # the one-format-per-row writer against csv.writer on the cells of _fmt
+    # the block writer against csv.writer on the cells of _fmt: odd types
+    # and text that needs quoting or holds '%' lead a block, edge floats
+    # sit in float64 columns, integers in integer columns
     import csv
     from fractions import Fraction
 
     from spinstar.cli import _fmt, write_csv
 
     header = ["m", "n_lost", "lost_sites", "tau_kt", "e_f"]
-    rows = [
-        (3, np.int64(1), "1+2", 0.1, np.float64(1 / 3)),
-        (np.int32(5), 2, 'a,"b"', math.nan, -math.inf),
-        (10 ** 12, 123456789012345, "x\ny", math.inf, -0.0),
-        (True, 0, "", 1e-300, np.float64(2.5e17)),
-        [7, 8, "3", np.float32(0.1), Fraction(1, 2)],
-        (1.0, 2.0, 3, 4.0, 5.0),
+    blocks = [
+        ((3, np.int64(1), "1+2"),
+         (np.array([0.1, math.nan, -math.inf]), np.array([1 / 3, math.inf, -0.0]))),
+        ((np.int32(5), 2, 'a,"b"'),
+         (np.array([1e-300, 2.5e17]), np.array([-1e-300, 5.0]))),
+        ((10 ** 12, 123456789012345, "x\ny"), (np.array([1.0]), np.array([-2.5]))),
+        ((True, np.float32(0.1), Fraction(1, 2)),
+         (np.array([7, -8]), np.array([2 ** 40, 0], dtype=np.uint64))),
+        (("50%", "%d%%", "%s,%(x)s"), (np.array([0.5]), np.array([3]))),
+        ((1.0, 2.0), (np.array([3]), np.array([4.0]), np.array([5.0]))),
+        ((), (np.array([1, 2]), np.array([3, 4]), np.array([5, 6]),
+              np.array([0.25, 0.5]), np.array([1e-5, 1e16]))),
+        ((1, 2, "empty"), (np.array([]), np.array([]))),
     ]
     ours = tmp_path / "ours.csv"
-    write_csv(ours, header, rows)
+    write_csv(ours, header, blocks)
     oracle = tmp_path / "oracle.csv"
     with open(oracle, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(x) for x in row])
+        for lead, columns in blocks:
+            for values in zip(*(c.tolist() for c in columns)):
+                writer.writerow([_fmt(x) for x in (*lead, *values)])
     assert ours.read_bytes() == oracle.read_bytes()
     assert b'"a,""b"""' in ours.read_bytes()
+    assert b'50%,%d%%,"%s,%(x)s",0.5,3' in ours.read_bytes()
+
+
+def test_write_csv_rejects_malformed_blocks(tmp_path):
+    from spinstar.cli import write_csv
+
+    path = tmp_path / "bad.csv"
+    for blocks in ([((1,), ())],                                   # no column
+                   [((), (np.arange(3), np.zeros(2)))],           # ragged
+                   [((), (np.zeros(2, dtype=np.float32),))],      # not float64
+                   [((), (np.array(["a", "b"]),))]):
+        with pytest.raises((ValueError, TypeError)):
+            write_csv(path, ["a", "b"], blocks)
 
 
 def test_cli_import_leaves_out_the_optimizer_and_the_ode_solver():

@@ -13,7 +13,9 @@ from spinstar.entangle import (
     TAU_REFINE_KT,
     EmResult,
     _golden_max,
+    _pair_states,
     assert_sector_pairs,
+    assert_sector_readings,
     concurrence,
     eof,
     eof_from_concurrence,
@@ -374,6 +376,71 @@ def test_closed_form_check_rejects_what_the_identity_needs():
             assert_sector_pairs(rho)
     with pytest.raises(ValueError):
         assert_sector_pairs(np.eye(2) / 2)
+
+
+def _readings_of(rng, rho):
+    """Sector readings whose pair state (:func:`_pair_states`) is `rho`, up
+    to rounding, with tr B above the two register populations and a
+    rounding-sized imaginary part on the real readings."""
+    pop0, pop_last = rho[2, 2].real, rho[1, 1].real
+    trace = pop0 + pop_last + rng.uniform(0.0, 0.3)
+    vacuum = rho[0, 0].real - (trace - pop0 - pop_last)
+    noise = 1j * rng.normal(scale=1e-15, size=3)
+    return (vacuum, trace + noise[0], pop0 + noise[1], pop_last + noise[2],
+            rho[2, 0], rho[1, 0], rho[2, 1])
+
+
+def _verdict(check, *args):
+    try:
+        check(*args)
+    except IntegrationError:
+        return False
+    return True
+
+
+def test_readings_check_agrees_with_the_stack_check():
+    # readings whose pair's smallest eigenvalue sits 1e-9 on either side
+    # of -1e-7: checking the readings and checking the pairs built from
+    # them give the same verdict, the eigvalsh one
+    rng = np.random.default_rng(17)
+    verdicts, stack = [], []
+    for k in range(400):
+        low = -1e-7 + (1e-9 if k % 2 else -1e-9)
+        mid = rng.uniform(0.05, 0.6)
+        readings = _readings_of(rng, _support_state(rng, np.array([low, mid, 1.0 - low - mid])))
+        pair = _pair_states(*readings)
+        accept = np.linalg.eigvalsh(pair).min() >= -1e-7
+        assert _verdict(assert_sector_readings, *readings) == accept, k
+        assert _verdict(assert_sector_pairs, pair) == accept, k
+        verdicts.append(accept)
+        stack.append(readings)
+    assert sum(verdicts) == 200   # both verdicts are exercised
+    # as stacks of readings: all good pass, one bad one fails the stack
+    good = [r for r, ok in zip(stack, verdicts) if ok]
+    columns = [np.array(c) for c in zip(*good)]
+    assert_sector_readings(*columns)
+    assert_sector_pairs(_pair_states(*columns))
+    columns = [np.array(c) for c in zip(*good, stack[verdicts.index(False)])]
+    for check, args in ((assert_sector_readings, columns),
+                        (assert_sector_pairs, [_pair_states(*columns)])):
+        with pytest.raises(IntegrationError):
+            check(*args)
+
+
+def test_readings_check_rejects_non_finite_readings_and_a_bad_trace():
+    rng = np.random.default_rng(8)
+    readings = _readings_of(rng, _support_state(rng, np.array([0.1, 0.3, 0.6])))
+    assert_sector_readings(*readings)
+    for i in range(7):
+        corrupt = list(readings)
+        corrupt[i] = np.nan
+        with pytest.raises(IntegrationError, match="not finite"):
+            assert_sector_readings(*corrupt)
+    for i in (0, 1):     # the vacuum and tr B both enter the trace
+        corrupt = list(readings)
+        corrupt[i] = corrupt[i] + 1e-6
+        with pytest.raises(IntegrationError, match="trace"):
+            assert_sector_readings(*corrupt)
 
 
 def test_refinement_checks_every_visited_state(monkeypatch):
