@@ -9,74 +9,7 @@ campaigns, and field-gradient sensing on the distributed pair.
 
 __version__ = "0.1.0"
 
-from .chain import (
-    ChainSpec,
-    CouplingGraph,
-    DisorderSpec,
-    Geometry,
-    GeometryError,
-    build_chain_hamiltonian,
-    build_coupling_graph,
-    build_geometry,
-    coupling_from_distance,
-    loss_configurations,
-    single_excitation_matrix,
-    validate_star_geometry,
-)
-from .entangle import (
-    EmResult,
-    concurrence,
-    eof,
-    eof_from_concurrence,
-    max_entanglement_scan,
-    register_pair_state,
-)
-from .experiments import (
-    DisorderPoint,
-    EstimationError,
-    FitResult,
-    GradientSpec,
-    LengthPoint,
-    LossReport,
-    disorder_monte_carlo,
-    distributed_pair,
-    estimate_gradient,
-    estimate_gradient_xy,
-    fit_exponential,
-    gradient_coherence,
-    ideal_bell_pair,
-    loss_study,
-    stable_seed,
-    sweep_length,
-)
-from .lindblad import (
-    IntegrationError,
-    NoiseSpec,
-    SectorState,
-    Trajectory,
-    evolve,
-    evolve_chain,
-    evolve_sector,
-    initial_transfer_state,
-    lindblad_rhs,
-    observable_expectation,
-    sector_from_full,
-)
-from .qops import (
-    MeasurementError,
-    embed,
-    eig_hermitian,
-    partial_trace,
-    pauli,
-    project_measure,
-    tensor,
-)
-from .star import (
-    CollectiveState,
-    StarSpec,
-    build_star_hamiltonian,
-    dicke_state,
-    ground_states,
-    star_spectrum_analytic,
-    w_state_protocol,
-)
+from .chain import ChainSpec
+from .entangle import max_entanglement_scan
+from .lindblad import NoiseSpec
+from .star import StarSpec, w_state_protocol

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .chain import ChainSpec, GeometryError, validate_star_geometry
-from .entangle import eof, max_entanglement_scan, register_pair_state, sector_pair_eof
+from .entangle import max_entanglement_scan, trajectory_eof
 from .experiments import (
     EstimationError,
     GradientSpec,
@@ -296,15 +296,10 @@ def _cmd_evolve(cfg: RunConfig, outdir: str) -> list:
     traj = evolve_chain(spec, _noise(p), t_end=kw.get("t_end"),
                         n_samples=p["samples"], method=p["method"],
                         register_state=p["register_state"])
-    pairs = register_pair_state(traj)
-    if traj.kind == "sector":
-        e_f = sector_pair_eof(np.array(pairs))
-    else:   # the general concurrence stays the full-space oracle
-        e_f = np.array([eof(pr) for pr in pairs])
     columns = [traj.times_kt, traj.times_s,
                observable_expectation(traj, ("pop", 0)),
                observable_expectation(traj, ("pop", traj.n_sites - 1)),
-               observable_expectation(traj, ("n_exc",)), e_f]
+               observable_expectation(traj, ("n_exc",)), trajectory_eof(traj)]
     path = os.path.join(outdir, "evolve.csv")
     write_csv(path, ["time_kt", "time_s", "pop_register0", "pop_register_end",
                      "n_exc", "e_f"], [((), columns)])

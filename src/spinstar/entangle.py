@@ -30,7 +30,6 @@ from .lindblad import (
     initial_transfer_state,
 )
 from .qops import (
-    DENSITY_HERMITIAN_TOL,
     DENSITY_TRACE_TOL,
     assert_density,
     partial_trace,
@@ -100,40 +99,6 @@ def _check_support(p00, p11, p22, a01, a02, a12) -> None:
             f"register-pair state has an eigenvalue below -{_CLAMP_TOL:.0e}")
 
 
-def assert_sector_pairs(pairs: np.ndarray) -> None:
-    """Check a stack of register-pair states, shape (..., 4, 4), in closed form.
-
-    Each state must be finite and Hermitian at the qops density tolerance
-    and carry no |11> weight: its |11> row and column are zero, the
-    precondition of C = 2|rho_{10,01}|.  Its 3x3 support, with the
-    off-diagonal entries averaged with their mirrors, then goes through
-    the trace and positivity check of :func:`assert_sector_readings`.
-    """
-    pairs = np.asarray(pairs)
-    if pairs.shape[-2:] != (4, 4):
-        raise ValueError("register-pair states are 4x4")
-    if not np.isfinite(pairs).all():
-        raise IntegrationError("register-pair state is not finite")
-    adj = np.swapaxes(pairs, -1, -2).conj()
-    if np.abs(pairs - adj).max() > DENSITY_HERMITIAN_TOL:
-        raise IntegrationError("register-pair state is not Hermitian")
-    if np.any(pairs[..., 3, :]) or np.any(pairs[..., :, 3]):
-        raise IntegrationError("register-pair state has |11> weight")
-    _check_support(*(pairs[..., i, i].real for i in range(3)),
-                   *((pairs[..., i, j] + adj[..., i, j]) / 2
-                     for i, j in ((0, 1), (0, 2), (1, 2))))
-
-
-def sector_pair_eof(pairs: np.ndarray) -> np.ndarray:
-    """E_F of a stack of register-pair states without |11> weight.
-
-    Every state passes :func:`assert_sector_pairs`; E_F comes from the
-    concurrence 2|rho_{10,01}|, exact for such states.
-    """
-    assert_sector_pairs(pairs)
-    return eof_from_concurrence(2.0 * np.abs(pairs[..., 2, 1]))
-
-
 def _support(vacuum, trace, pop0, pop_last, coh0, coh_last, b0l) -> tuple:
     """(p00, p11, p22, a01, a02, a12): the diagonal of the register pair's
     support on {00, 01, 10} and the entries above it, from the sector
@@ -150,11 +115,22 @@ def assert_sector_readings(vacuum, trace, pop0, pop_last, coh0, coh_last, b0l) -
     """Check the register-pair states of the sector readings of :func:`_support`.
 
     Pairs built from readings (:func:`_pair_states`) are Hermitian and free
-    of |11> weight by construction, so this is :func:`assert_sector_pairs`
-    on them, verdict for verdict, without building them: finiteness, the
-    trace and the seven principal minors, on the same values.
+    of |11> weight by construction, so only finiteness, the trace and the
+    seven principal minors of their support are checked, without building
+    them.
     """
     _check_support(*_support(vacuum, trace, pop0, pop_last, coh0, coh_last, b0l))
+
+
+def _sector_eof(vacuum, trace, pop0, pop_last, coh0, coh_last, b0l) -> np.ndarray:
+    """E_F of the register pairs of the sector readings of :func:`_support`.
+
+    Every pair passes :func:`assert_sector_readings`; E_F comes from the
+    concurrence 2|B[0,last]|, exact for pairs without |11> weight.  The
+    scan's grid and a sector trajectory are read through this one step.
+    """
+    assert_sector_readings(vacuum, trace, pop0, pop_last, coh0, coh_last, b0l)
+    return eof_from_concurrence(2.0 * np.abs(b0l))
 
 
 def _pair_states(vacuum, trace, pop0, pop_last, coh0, coh_last, b0l) -> np.ndarray:
@@ -172,25 +148,38 @@ def _pair_states(vacuum, trace, pop0, pop_last, coh0, coh_last, b0l) -> np.ndarr
     return pair
 
 
-def pair_state_from_sector(state: SectorState) -> np.ndarray:
-    """Reduced state of the two registers (sites 0 and n-1) from sector blocks.
+def _trajectory_readings(traj: Trajectory) -> tuple:
+    """The sector readings of :func:`_support` at every sample of a sector
+    trajectory, read from its stacked blocks."""
+    b, c, last = traj.block11, traj.block01, traj.n_sites - 1
+    return (traj.block00, np.trace(b, axis1=1, axis2=2), b[:, 0, 0], b[:, last, last],
+            c[:, 0], c[:, last], b[:, 0, last])
 
-    Basis order is |register0, register_end>: 00, 01, 10, 11.  States in
-    the 0+1 excitation span have no |11> weight.
+
+def register_pair_state(traj: Trajectory, spec: ChainSpec | None = None) -> np.ndarray:
+    """Two-register reduced states along a trajectory, shape (N, 4, 4).
+
+    Basis order is |register0, register_end>: 00, 01, 10, 11.  A sector
+    trajectory gives them from its readings; a full one by partial trace.
     """
-    b, last = state.block11, state.n_sites - 1
-    return _pair_states(state.block00, np.trace(b), b[0, 0], b[last, last],
-                        state.block01[0], state.block01[last], b[0, last])
-
-
-def register_pair_state(traj: Trajectory, spec: ChainSpec | None = None) -> list:
-    """Time series of the two-register reduced state along a trajectory."""
     if spec is not None and spec.n_sites != traj.n_sites:
         raise ValueError("trajectory does not match the chain spec")
     if traj.kind == "sector":
-        return [pair_state_from_sector(s) for s in traj.states]
+        return _pair_states(*_trajectory_readings(traj))
     n = traj.n_sites
-    return [partial_trace(rho, (0, n - 1)) for rho in traj.states]
+    return np.array([partial_trace(rho, (0, n - 1)) for rho in traj.states])
+
+
+def trajectory_eof(traj: Trajectory) -> np.ndarray:
+    """E_F of the register pair at every sample of a trajectory.
+
+    A sector trajectory goes through :func:`_sector_eof`, as the scan's
+    grid does; a full one through the general Wootters concurrence, the
+    oracle.
+    """
+    if traj.kind == "sector":
+        return _sector_eof(*_trajectory_readings(traj))
+    return np.array([eof(pair) for pair in register_pair_state(traj)])
 
 
 @dataclass
@@ -277,8 +266,7 @@ def _coarse_pass(prop: SectorPropagator, state0: SectorState, window: float,
     :meth:`SectorPropagator.on_grid` carries the four probe rows of
     :func:`_probe_rows` rather than the whole block, and
     :meth:`SectorPropagator.grid_coherences` forms the two vacuum
-    coherences from the same strides.  Every sample passes
-    :func:`assert_sector_readings`, and E_F comes from 2|B[0,last]|.
+    coherences from the same strides; E_F comes from :func:`_sector_eof`.
 
     Returns (times, E_F, K, B at the long strides iK dt).
     """
@@ -286,8 +274,7 @@ def _coarse_pass(prop: SectorPropagator, state0: SectorState, window: float,
     times, readings, k, blocks = prop.on_grid(state0.block11, window, n_samples,
                                               _probe_rows(n))
     coh = prop.grid_coherences(state0.block01, times[1], n_samples, k, [0, n - 1])
-    assert_sector_readings(*_probe_readings(state0, coh, readings))
-    return times, eof_from_concurrence(2.0 * np.abs(readings[:, 3])), k, blocks
+    return times, _sector_eof(*_probe_readings(state0, coh, readings)), k, blocks
 
 
 def max_entanglement_scan(

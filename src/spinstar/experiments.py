@@ -227,9 +227,6 @@ class LossReport:
     results: tuple
     expectation: float | None
 
-    def e_m_by_config(self) -> dict:
-        return {cfg: res.e_m for cfg, res in zip(self.configs, self.results)}
-
 
 def loss_study(
     m_chain: int, noise: NoiseSpec, n_lost: int,
@@ -281,10 +278,6 @@ class GradientSpec:
         object.__setattr__(self, "times_s", times)
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("times must ascend strictly")
-
-
-COHERENCE_OP = np.zeros((4, 4), dtype=complex)
-COHERENCE_OP[1, 2] = COHERENCE_OP[2, 1] = 1.0   # |01><10| + |10><01|
 
 
 def ideal_bell_pair() -> np.ndarray:

@@ -126,23 +126,23 @@ def sector_from_full(rho: np.ndarray, tol: float = 1e-10) -> SectorState:
 
 @dataclass
 class Trajectory:
-    """Sampled solution of the master equation.
+    """Sampled solution of the master equation at `times_s`.
 
-    `states` holds full density matrices (kind "full") or
-    :class:`SectorState` objects (kind "sector") at `times_s`;
-    `times_kt` is the same grid in dimensionless kappa*t.
+    `times_kt` is the same grid in dimensionless kappa*t.  A full run
+    (kind "full") holds the density matrices as one (N, 2^n, 2^n) array
+    `states`.  A sector run (kind "sector") holds the stacked blocks of
+    :class:`SectorState`: the constant vacuum population `block00`,
+    `block01` of shape (N, n) and `block11` of shape (N, n, n).
     """
 
     times_s: np.ndarray
     times_kt: np.ndarray
-    states: list
     kind: str
     n_sites: int
-
-    def full_states(self) -> list:
-        if self.kind == "full":
-            return self.states
-        return [s.to_full() for s in self.states]
+    states: np.ndarray | None = None
+    block00: float | None = None
+    block01: np.ndarray | None = None
+    block11: np.ndarray | None = None
 
 
 def initial_transfer_state(
@@ -192,18 +192,28 @@ def _dephasing_mask(n: int) -> np.ndarray:
     return z.T @ z - float(n)
 
 
+def _master_equation(h: np.ndarray, noise: NoiseSpec, shape: tuple):
+    """drho/dt as a function of rho, for states of `shape` under `h` and
+    `noise`; the dephasing mask is built here, once."""
+    h = np.asarray(h, dtype=complex)
+    if h.shape != shape:
+        raise ValueError("state and Hamiltonian dimensions differ")
+    gamma = noise.rate
+    mask = gamma * _dephasing_mask(n_qubits(shape[0])) if gamma > 0 else None
+
+    def rhs(rho: np.ndarray) -> np.ndarray:
+        out = -1j * (h @ rho - rho @ h)
+        if mask is not None:
+            out += mask * rho
+        return out
+
+    return rhs
+
+
 def lindblad_rhs(rho: np.ndarray, h: np.ndarray, noise: NoiseSpec) -> np.ndarray:
     """Right-hand side of the master equation on the full space."""
     rho = np.asarray(rho, dtype=complex)
-    h = np.asarray(h, dtype=complex)
-    if rho.shape != h.shape:
-        raise ValueError("state and Hamiltonian dimensions differ")
-    n = n_qubits(rho.shape[0])
-    out = -1j * (h @ rho - rho @ h)
-    gamma = noise.rate
-    if gamma > 0:
-        out += gamma * _dephasing_mask(n) * rho
-    return out
+    return _master_equation(h, noise, rho.shape)(rho)
 
 
 def _check_trace_drift(trace_series: np.ndarray) -> None:
@@ -240,30 +250,17 @@ def evolve(
     check_grid(t_end, n_samples)
     rho0 = np.asarray(rho0, dtype=complex)
     assert_density(rho0)
-    n = n_qubits(rho0.shape[0])
-    h = np.asarray(h, dtype=complex)
-    if h.shape != rho0.shape:
-        raise ValueError("state and Hamiltonian dimensions differ")
-    gamma = noise.rate
-    mask = gamma * _dephasing_mask(n) if gamma > 0 else None
     dim = rho0.shape[0]
-
-    def rhs(_t, y):
-        rho = y.reshape(dim, dim)
-        d = -1j * (h @ rho - rho @ h)
-        if mask is not None:
-            d += mask * rho
-        return d.ravel()
-
+    rhs = _master_equation(h, noise, rho0.shape)
     times = np.linspace(0.0, t_end, n_samples)
-    sol = solve_ivp(rhs, (0.0, t_end), rho0.ravel(), t_eval=times, method="RK45",
-                    rtol=rtol, atol=atol)
+    sol = solve_ivp(lambda _t, y: rhs(y.reshape(dim, dim)).ravel(), (0.0, t_end),
+                    rho0.ravel(), t_eval=times, method="RK45", rtol=rtol, atol=atol)
     if not sol.success:
         raise IntegrationError(f"integrator failed: {sol.message}")
-    states = [sol.y[:, k].reshape(dim, dim) for k in range(sol.y.shape[1])]
-    _check_trace_drift(np.array([np.trace(s).real for s in states]))
-    return Trajectory(times_s=times, times_kt=kappa_angular * times,
-                      states=states, kind="full", n_sites=n)
+    states = sol.y.T.reshape(-1, dim, dim)
+    _check_trace_drift(np.trace(states, axis1=1, axis2=2).real)
+    return Trajectory(times_s=times, times_kt=kappa_angular * times, kind="full",
+                      n_sites=n_qubits(dim), states=states)
 
 
 # Crossovers of SectorPropagator's dense branch, in n^2, the size of the
@@ -752,11 +749,10 @@ def evolve_sector(
         raise ValueError("coupling matrix does not match the state size")
     prop = SectorPropagator(h1, noise)
     times, blocks, _, _ = prop.on_grid(rho0.block11, t_end, n_samples)
-    coh = prop.coherences(rho0.block01, times)
     _check_trace_drift(rho0.block00 + np.trace(blocks, axis1=1, axis2=2).real)
-    states = [SectorState(rho0.block00, coh[k], blocks[k]) for k in range(n_samples)]
-    return Trajectory(times_s=times, times_kt=kappa_angular * times,
-                      states=states, kind="sector", n_sites=n)
+    return Trajectory(times_s=times, times_kt=kappa_angular * times, kind="sector",
+                      n_sites=n, block00=rho0.block00,
+                      block01=prop.coherences(rho0.block01, times), block11=blocks)
 
 
 def default_window_s(spec: ChainSpec) -> float:
@@ -798,56 +794,58 @@ def evolve_chain(
 def observable_expectation(traj: Trajectory, op) -> np.ndarray:
     """Real expectation series Tr(rho(t) O) along a trajectory.
 
-    `op` is either a dense operator matching the trajectory's space or a
+    `op` is either a dense operator on the trajectory's 2^n space or a
     site-local descriptor: ``"identity"``, ``("n_exc",)``, ``("sz", i)``
-    or ``("pop", i)``.  Descriptors evaluate directly on sector states.
+    or ``("pop", i)``.  Descriptors evaluate directly on sector blocks.
+    A descriptor that is unknown, or whose site is missing or outside
+    0..n-1, raises ValueError on either kind of trajectory.
     """
     if isinstance(op, str):
         op = (op,)
     if isinstance(op, tuple):
         return _descriptor_expectation(traj, op)
     op = np.asarray(op, dtype=complex)
-    hermitian = np.abs(op - op.conj().T).max() < 1e-12
-    out = np.empty(len(traj.states))
-    for k, rho in enumerate(traj.full_states()):
-        if rho.shape != op.shape:
-            raise ValueError("operator dimension does not match trajectory")
-        val = np.trace(rho @ op)
-        if hermitian and abs(val.imag) > 1e-8:
-            raise ValueError(
-                f"expectation of Hermitian operator has imaginary part {val.imag:.3e}")
-        out[k] = val.real
-    return out
+    dim = 2 ** traj.n_sites
+    if op.shape != (dim, dim):
+        raise ValueError("operator dimension does not match trajectory")
+    if traj.kind == "full":
+        vals = np.trace(traj.states @ op, axis1=1, axis2=2)
+    else:
+        # rho vanishes outside the vacuum and the one-excitation states
+        idx = 2 ** (traj.n_sites - 1 - np.arange(traj.n_sites))
+        vals = (traj.block00 * op[0, 0] + traj.block01 @ op[0, idx]
+                + traj.block01.conj() @ op[idx, 0]
+                + np.einsum("kij,ji->k", traj.block11, op[np.ix_(idx, idx)]))
+    if np.abs(op - op.conj().T).max() < 1e-12 and np.abs(vals.imag).max() > 1e-8:
+        raise ValueError("expectation of Hermitian operator has imaginary part "
+                         f"{np.abs(vals.imag).max():.3e}")
+    return vals.real
 
 
 def _descriptor_expectation(traj: Trajectory, desc: tuple) -> np.ndarray:
-    name = desc[0]
+    name, n = desc[0], traj.n_sites
+    if name not in ("identity", "n_exc", "sz", "pop"):
+        raise ValueError(f"unknown observable descriptor {desc!r}")
+    site = desc[1] if len(desc) == 2 else None
+    if name in ("sz", "pop") and not (isinstance(site, (int, np.integer)) and 0 <= site < n):
+        raise ValueError(f"descriptor {desc!r} needs one site in 0..{n - 1}")
     if traj.kind != "sector":
         # full-space path goes through dense operators
         from .qops import embed, number_operator, pauli
 
-        n = traj.n_sites
         if name == "identity":
             op = np.eye(2 ** n, dtype=complex)
         elif name == "n_exc":
             op = number_operator(n)
         elif name == "sz":
-            op = embed(pauli("z"), desc[1], n)
-        elif name == "pop":
-            op = embed(np.diag([0.0, 1.0]).astype(complex), desc[1], n)
+            op = embed(pauli("z"), site, n)
         else:
-            raise ValueError(f"unknown observable descriptor {desc!r}")
+            op = embed(np.diag([0.0, 1.0]).astype(complex), site, n)
         return observable_expectation(traj, op)
-    out = np.empty(len(traj.states))
-    for k, s in enumerate(traj.states):
-        if name == "identity":
-            out[k] = s.block00 + np.trace(s.block11).real
-        elif name == "n_exc":
-            out[k] = np.trace(s.block11).real
-        elif name == "sz":
-            out[k] = (s.block00 + np.trace(s.block11).real) - 2 * s.block11[desc[1], desc[1]].real
-        elif name == "pop":
-            out[k] = s.block11[desc[1], desc[1]].real
-        else:
-            raise ValueError(f"unknown observable descriptor {desc!r}")
-    return out
+    n_exc = np.trace(traj.block11, axis1=1, axis2=2).real
+    if name == "identity":
+        return traj.block00 + n_exc
+    if name == "n_exc":
+        return n_exc
+    pop = traj.block11[:, site, site].real
+    return (traj.block00 + n_exc) - 2 * pop if name == "sz" else pop

@@ -17,11 +17,9 @@ from __future__ import annotations
 import numpy as np
 
 # Default validation tolerances.  Overridable per call.
-HERMITIAN_TOL = 1e-12       # Hamiltonians
 DENSITY_HERMITIAN_TOL = 1e-10
 DENSITY_TRACE_TOL = 1e-8
 DENSITY_EIG_TOL = 1e-8      # smallest eigenvalue >= -DENSITY_EIG_TOL
-MEASUREMENT_EPS = 1e-12     # outcome probabilities below this are "impossible"
 
 _PAULI = {
     "identity": np.eye(2, dtype=complex),
@@ -29,10 +27,6 @@ _PAULI = {
     "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
-
-
-class MeasurementError(ValueError):
-    """Raised when a projective measurement outcome has zero probability."""
 
 
 # Excitation ladder in the package basis: RAISE maps |0> to |1| (adds an
@@ -118,20 +112,6 @@ def number_operator(n_sites: int) -> np.ndarray:
     return n_op
 
 
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b - b @ a
-
-
-def assert_hermitian(op: np.ndarray, tol: float = HERMITIAN_TOL) -> None:
-    """Raise if `op` deviates from its adjoint by more than `tol` entrywise."""
-    op = np.asarray(op)
-    if op.ndim != 2 or op.shape[0] != op.shape[1]:
-        raise ValueError("operator must be a square matrix")
-    dev = np.abs(op - op.conj().T).max()
-    if dev > tol * max(1.0, np.abs(op).max()):
-        raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
-
-
 def assert_density(
     rho: np.ndarray,
     herm_tol: float = DENSITY_HERMITIAN_TOL,
@@ -191,45 +171,3 @@ def partial_trace(rho: np.ndarray, keep, n_sites: int | None = None) -> np.ndarr
     reduced = np.einsum(tens, row + col, out_axes)
     d = 2 ** len(keep)
     return reduced.reshape(d, d)
-
-
-def eig_hermitian(op: np.ndarray, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
-    """Eigen-decomposition of a Hermitian operator.
-
-    Returns eigenvalues in ascending order and the unitary of
-    eigenvectors (columns).  Non-Hermitian input is rejected.
-    """
-    op = np.asarray(op, dtype=complex)
-    assert_hermitian(op, tol=tol)
-    w, v = np.linalg.eigh((op + op.conj().T) / 2)
-    return w, v
-
-
-def projector(outcome: int, site: int, n_sites: int) -> np.ndarray:
-    """Projector onto ``|outcome>`` of `site` within an `n_sites` register."""
-    if outcome not in (0, 1):
-        raise ValueError("outcome must be 0 or 1")
-    p = np.zeros((2, 2), dtype=complex)
-    p[outcome, outcome] = 1.0
-    return embed(p, site, n_sites)
-
-
-def project_measure(
-    rho: np.ndarray, site: int, outcome: int, eps: float = MEASUREMENT_EPS
-) -> tuple[float, np.ndarray]:
-    """Projective measurement of one site of a density matrix.
-
-    Returns ``(probability, post_state)`` with the post-measurement state
-    renormalized.  An outcome of probability below `eps` raises
-    :class:`MeasurementError` rather than returning an invalid state.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    n = n_qubits(rho.shape[0])
-    proj = projector(outcome, site, n)
-    prob = float(np.trace(proj @ rho).real)
-    if prob < eps:
-        raise MeasurementError(
-            f"outcome {outcome} on site {site} is impossible (p={prob:.3e})"
-        )
-    post = proj @ rho @ proj / prob
-    return prob, post

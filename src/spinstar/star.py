@@ -153,13 +153,6 @@ def star_spectrum_analytic(spec: StarSpec) -> list[tuple[float, float, float]]:
     return levels
 
 
-def ground_energy(spec: StarSpec) -> float:
-    n, lam = spec.n_outer, spec.coupling
-    if n % 2 == 1:
-        return -lam * (n + 1) / 2
-    return -lam * sqrt((n / 2) * (n / 2 + 1))
-
-
 def ground_states(spec: StarSpec) -> list[np.ndarray]:
     """Ground manifold of the star, central spin as the leftmost factor.
 

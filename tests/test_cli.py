@@ -259,6 +259,46 @@ def test_evolve_campaign(tmp_path):
     assert float(first[4]) == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("register", ["plus", "one"])
+def test_evolve_sector_csv_matches_the_full_space_oracle(tmp_path, register, monkeypatch):
+    # the sector path reads its pairs from stacked blocks through the scan's
+    # readings check; the full path integrates 2^n x 2^n states with RK45
+    # and reads every pair through the general Wootters concurrence.  The
+    # oracle runs at A3's tolerances: at the default rtol of 1e-8 its
+    # populations drift by about 3e-8
+    import functools
+
+    import spinstar.cli
+
+    monkeypatch.setattr(spinstar.cli, "evolve_chain", functools.partial(
+        spinstar.cli.evolve_chain, rtol=1e-10, atol=1e-14))
+    columns = {}
+    for method in ("sector", "full"):
+        out = tmp_path / method
+        assert run_cli(out, "evolve", "--m", "2", "--method", method,
+                       "--register-state", register, *FAST) == EXIT_OK
+        header, *rows = (out / "evolve.csv").read_text().splitlines()
+        columns[method] = np.array([row.split(",") for row in rows], dtype=float)
+    assert header == "time_kt,time_s,pop_register0,pop_register_end,n_exc,e_f"
+    assert columns["sector"].shape == (301, 6)
+    assert np.abs(columns["sector"] - columns["full"]).max() < 1e-8   # every column
+
+
+def test_readme_library_example_runs():
+    # the README's Library block is the documented top-level API
+    import pathlib
+    import re
+
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    library = readme[readme.index("## Library"):]
+    block = re.search(r"```python\n(.*?)```", library, re.S).group(1)
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    result = namespace["result"]
+    assert 0.0 < result.e_m <= 1.0 and result.interior
+    assert namespace["prob"] == pytest.approx(0.5)
+
+
 def test_fit_campaign(tmp_path):
     code = run_cli(tmp_path, "fit", "--ms", "3,4,5", "--t2s-ms", "0.5,1,2",
                    *FAST)

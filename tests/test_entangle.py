@@ -12,15 +12,14 @@ from spinstar.chain import (
 from spinstar.entangle import (
     TAU_REFINE_KT,
     EmResult,
+    _check_support,
     _golden_max,
     _pair_states,
-    assert_sector_pairs,
     assert_sector_readings,
     concurrence,
     eof,
     eof_from_concurrence,
     max_entanglement_scan,
-    pair_state_from_sector,
     register_pair_state,
 )
 from spinstar.experiments import distributed_pair
@@ -28,11 +27,40 @@ from spinstar.lindblad import (
     IntegrationError,
     NoiseSpec,
     SectorPropagator,
+    SectorState,
     default_window_s,
     evolve_chain,
     initial_transfer_state,
+    observable_expectation,
 )
-from spinstar.qops import ket2dm, partial_trace, pauli, tensor
+from spinstar.qops import DENSITY_HERMITIAN_TOL, ket2dm, partial_trace, pauli, tensor
+
+
+def assert_sector_pairs(pairs):
+    """The closed-form check on a stack of 4x4 register-pair states, shape
+    (..., 4, 4): each must be finite, Hermitian and free of |11> weight,
+    and its 3x3 support, off-diagonal entries averaged with their
+    mirrors, goes through the trace and minor check of the readings."""
+    pairs = np.asarray(pairs)
+    if pairs.shape[-2:] != (4, 4):
+        raise ValueError("register-pair states are 4x4")
+    if not np.isfinite(pairs).all():
+        raise IntegrationError("register-pair state is not finite")
+    adj = np.swapaxes(pairs, -1, -2).conj()
+    if np.abs(pairs - adj).max() > DENSITY_HERMITIAN_TOL:
+        raise IntegrationError("register-pair state is not Hermitian")
+    if np.any(pairs[..., 3, :]) or np.any(pairs[..., :, 3]):
+        raise IntegrationError("register-pair state has |11> weight")
+    _check_support(*(pairs[..., i, i].real for i in range(3)),
+                   *((pairs[..., i, j] + adj[..., i, j]) / 2
+                     for i, j in ((0, 1), (0, 2), (1, 2))))
+
+
+def pair_state_from_sector(state):
+    """Register-pair state of one SectorState, read entry by entry."""
+    b, last = state.block11, state.n_sites - 1
+    return _pair_states(state.block00, np.trace(b), b[0, 0], b[last, last],
+                        state.block01[0], state.block01[last], b[0, last])
 
 
 def bell_psi_minus():
@@ -126,6 +154,22 @@ def test_pair_state_sector_matches_full():
         ps = register_pair_state(sect)
         dev = max(np.abs(a - b).max() for a, b in zip(pf, ps))
         assert dev < 1e-8
+
+
+def test_stacked_readers_equal_the_per_sample_reading():
+    # register_pair_state and the descriptors read every sample at once
+    # from the stacked blocks; reading one SectorState at a time is the
+    # reference, with the same arithmetic, so the two agree exactly
+    for spec in (ChainSpec(m_chain=3), ChainSpec(m_chain=12, lost_sites={4})):
+        traj = evolve_chain(spec, NoiseSpec(t2_s=1e-3), n_samples=51)
+        states = [SectorState(traj.block00, c, b) for c, b in zip(traj.block01, traj.block11)]
+        assert np.array_equal(register_pair_state(traj),
+                              [pair_state_from_sector(s) for s in states])
+        last = traj.n_sites - 1
+        assert np.array_equal(observable_expectation(traj, ("n_exc",)),
+                              [np.trace(s.block11).real for s in states])
+        assert np.array_equal(observable_expectation(traj, ("pop", last)),
+                              [s.block11[last, last].real for s in states])
 
 
 def test_pair_state_spec_mismatch_rejected():
@@ -310,16 +354,17 @@ def test_refinement_matches_advance_and_wootters(spec, n, t2):
     k_lo = max(i_max - 1, 0)
     lo, hi = traj.times_s[k_lo], traj.times_s[min(i_max + 1, n - 1)]
     prop = SectorPropagator(single_excitation_matrix(build_coupling_graph(spec)), noise)
+    at_lo = SectorState(traj.block00, traj.block01[k_lo], traj.block11[k_lo])
 
     def ef_at(t):
-        return eof(pair_state_from_sector(prop.advance(traj.states[k_lo], t - lo)))
+        return eof(pair_state_from_sector(prop.advance(at_lo, t - lo)))
 
     tau, e_star = _golden_max(ef_at, lo, hi, TAU_REFINE_KT / spec.kappa_angular)
     if efs[i_max] >= e_star:
         tau, e_star = traj.times_s[i_max], efs[i_max]
     assert abs(result.e_m - e_star) < 1e-12
     assert abs(result.tau_star_kt - spec.kappa_angular * tau) <= TAU_REFINE_KT
-    pair = pair_state_from_sector(prop.advance(traj.states[k_lo], result.tau_star_s - lo))
+    pair = pair_state_from_sector(prop.advance(at_lo, result.tau_star_s - lo))
     assert np.abs(result.pair_state - pair).max() < 1e-12
 
 

@@ -147,7 +147,7 @@ def test_loss_study_single_loss_m5():
     report = loss_study(5, NOISE, 1, **FAST)
     assert report.configs == ((1,), (2,), (3,), (4,), (5,))
     assert len(report.results) == 5
-    ems = report.e_m_by_config()
+    ems = {cfg: res.e_m for cfg, res in zip(report.configs, report.results)}
     assert report.expectation == pytest.approx(np.mean(list(ems.values())))
     # distinct loss positions produce genuinely different curves
     assert len({round(v, 4) for v in ems.values()}) >= 3
@@ -156,7 +156,7 @@ def test_loss_study_single_loss_m5():
 def test_loss_study_two_loss_end_pair_wins():
     report = loss_study(5, NOISE, 2, **FAST)
     assert len(report.configs) == 6
-    ems = report.e_m_by_config()
+    ems = {cfg: res.e_m for cfg, res in zip(report.configs, report.results)}
     best = max(ems, key=ems.get)
     assert best == (1, 5)
 
@@ -171,7 +171,7 @@ def _coarse_em(spec, reverse=False):
     # peak e_f on the default grid, optionally injecting from the far
     # register (realized by reversing the site order of the couplings)
     from spinstar.chain import build_coupling_graph, single_excitation_matrix
-    from spinstar.entangle import eof, pair_state_from_sector
+    from spinstar.entangle import eof, register_pair_state
     from spinstar.lindblad import default_window_s, evolve_sector, initial_transfer_state
 
     h1 = single_excitation_matrix(build_coupling_graph(spec))
@@ -180,7 +180,7 @@ def _coarse_em(spec, reverse=False):
     traj = evolve_sector(initial_transfer_state(spec), h1, NOISE,
                          default_window_s(spec), n_samples=FAST["n_samples"],
                          kappa_angular=spec.kappa_angular)
-    return max(eof(pair_state_from_sector(s)) for s in traj.states)
+    return max(eof(pair) for pair in register_pair_state(traj))
 
 
 def test_loss_mirror_covariance():

@@ -145,8 +145,8 @@ def test_sector_matches_full_evolution():
                             rtol=1e-10, atol=1e-14)
         sect = evolve_chain(spec, noise, method="sector", n_samples=41,
                             rtol=1e-10, atol=1e-14)
-        dev = max(np.abs(a - b.to_full()).max()
-                  for a, b in zip(full.states, sect.states))
+        dev = max(np.abs(a - SectorState(sect.block00, c, b).to_full()).max()
+                  for a, c, b in zip(full.states, sect.block01, sect.block11))
         assert dev < 1e-8
 
 
@@ -161,9 +161,9 @@ def test_sector_unitary_block_is_schroedinger():
     w, v = np.linalg.eigh(h1)
     c0 = np.zeros(4, dtype=complex)
     c0[0] = 1.0
-    for t, s in zip(traj.times_s, traj.states):
+    for t, b in zip(traj.times_s, traj.block11):
         c = (v * np.exp(-1j * w * t)) @ (v.conj().T @ c0)
-        assert np.abs(s.block11 - np.outer(c, c.conj())).max() < 1e-7
+        assert np.abs(b - np.outer(c, c.conj())).max() < 1e-7
 
 
 def test_long_chain_sector_run():
@@ -171,15 +171,15 @@ def test_long_chain_sector_run():
     noise = NoiseSpec(t2_s=1e-3)
     traj = evolve_chain(spec, noise, n_samples=101)
     assert traj.n_sites == 22
-    for s in traj.states[:: 20]:
-        s.check(tol=1e-6)
+    for c, b in zip(traj.block01[:: 20], traj.block11[:: 20]):
+        SectorState(traj.block00, c, b).check(tol=1e-6)
     # the strided grid agrees with one exact step from t = 0
     prop = SectorPropagator(single_excitation_matrix(build_coupling_graph(spec)), noise)
     state0 = initial_transfer_state(spec)
     for k in (7, 58, 100):
         direct = prop.advance(state0, traj.times_s[k])
-        assert np.abs(traj.states[k].block11 - direct.block11).max() < 1e-12
-        assert np.abs(traj.states[k].block01 - direct.block01).max() < 1e-12
+        assert np.abs(traj.block11[k] - direct.block11).max() < 1e-12
+        assert np.abs(traj.block01[k] - direct.block01).max() < 1e-12
 
 
 @pytest.mark.parametrize("t2", [math.inf, 1e-3])
@@ -310,8 +310,8 @@ def test_dense_branch_matches_full_space_on_random_arms():
         kwargs = dict(n_samples=21, register_state=register)
         full = evolve_chain(spec, noise, method="full", rtol=1e-10, atol=1e-14, **kwargs)
         sect = evolve_chain(spec, noise, method="sector", **kwargs)
-        dev = max(np.abs(a - b.to_full()).max()
-                  for a, b in zip(full.states, sect.states))
+        dev = max(np.abs(a - SectorState(sect.block00, c, b).to_full()).max()
+                  for a, c, b in zip(full.states, sect.block01, sect.block11))
         assert dev < 1e-8, (spec, t2, register)
         k = int(rng.integers(1, 21))
         state0 = initial_transfer_state(spec, register)
@@ -629,6 +629,18 @@ def test_observable_expectation_descriptors():
     # dense operator route agrees with the descriptor route
     dense = observable_expectation(traj, embed(pauli("z"), 4, 5))
     assert np.abs(dense - observable_expectation(traj, ("sz", 4))).max() < 1e-9
+
+
+@pytest.mark.parametrize("method", ["sector", "full"])
+def test_descriptor_site_out_of_range(method):
+    # both kinds reject a site outside 0..n-1 or a missing one alike; the
+    # sector path once read ("pop", -1) as the last site
+    traj = evolve_chain(ChainSpec(m_chain=1), NoiseSpec(t2_s=1e-3), n_samples=5,
+                        method=method)
+    for desc in (("pop", -1), ("pop", 3), ("sz", 3), ("sz",), ("pop",), ("pop", 1.0),
+                 ("bogus", 0)):
+        with pytest.raises(ValueError):
+            observable_expectation(traj, desc)
 
 
 def test_observable_dimension_mismatch():

