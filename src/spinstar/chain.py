@@ -255,19 +255,6 @@ def build_chain_hamiltonian(
     return h, graph.site_ids
 
 
-def effective_delta_ratio(spec: ChainSpec) -> float:
-    """Register-coupling ratio of the arm that remains after end losses.
-
-    Losing the first (or last) chain site moves the effective register
-    gap to ``register_gap + r``; the returned value is the cubic-law ratio
-    at that distance when such a loss is present, else `delta_ratio`.
-    """
-    if 1 in spec.lost_sites or spec.m_chain in spec.lost_sites:
-        d = spec.register_gap_nm + spec.spacing_nm
-        return (spec.spacing_nm / d) ** 3
-    return spec.delta_ratio
-
-
 def validate_star_geometry(n_outer: int, m_chain: int) -> bool:
     """Whether N arms of M chain spins fit around one center.
 

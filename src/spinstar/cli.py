@@ -409,18 +409,22 @@ def _cmd_loss(cfg: RunConfig, outdir: str) -> tuple[list, list]:
 
 def _cmd_gradient(cfg: RunConfig, outdir: str) -> list:
     p = cfg.params
+    if not (math.isfinite(p["gx"]) and p["gx"] != 0 and math.isfinite(p["gy"])):
+        raise ValueError(f"gx must be finite and nonzero and gy finite, "
+                         f"got gx={p['gx']}, gy={p['gy']}")
+    if not 0 < p["d_nm"] < math.inf:
+        raise ValueError(f"d_nm must be positive and finite, got {p['d_nm']}")
     _check_geometry(p, p["ms"])
-    kappa = 2 * math.pi * p["kappa_hz"]
     g_mag = math.hypot(p["gx"], p["gy"])
     # one oscillation period of the x-axis pair, sampled densely
-    period = 2 * math.pi / (GAMMA_NV * p["gx"] * p["d_nm"] * 1e-9)
-    times = tuple(np.linspace(0.0, period, p["n_times"]))
+    rate = GAMMA_NV * abs(p["gx"]) * p["d_nm"] * 1e-9
+    times = tuple(np.linspace(0.0, 2 * math.pi / rate, p["n_times"]))
     grad = GradientSpec(gx=p["gx"], gy=p["gy"], d_nm=p["d_nm"], times_s=times)
     rows, estimates = [], {}
     for m in sorted(p["ms"]):
         pair = distributed_pair(_chain_spec(p, m=m), _noise(p), **_scan_kwargs(p))
         series = gradient_coherence(pair, grad, (0.0, 0.0), (p["d_nm"], 0.0))
-        gdt = GAMMA_NV * p["gx"] * p["d_nm"] * 1e-9 * np.asarray(times)
+        gdt = rate * np.asarray(times)
         rows.append(((m,), (gdt, series)))
         try:
             gx_hat, gy_hat = estimate_gradient_xy(pair, grad)

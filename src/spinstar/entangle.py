@@ -12,7 +12,6 @@ Entanglement of formation is the binary entropy of
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +19,7 @@ import numpy as np
 from .chain import ChainSpec, build_coupling_graph, single_excitation_matrix
 from .lindblad import (
     N_SAMPLES_DEFAULT,
+    SERIES_DEGREE,
     IntegrationError,
     NoiseSpec,
     SectorPropagator,
@@ -40,8 +40,6 @@ _YY = np.kron(pauli("y"), pauli("y"))
 # eigenvalues this far below zero are treated as rounding noise; RK45
 # trajectory states may dip to -1e-7 at the integrator tolerance
 _CLAMP_TOL = 1e-7
-# golden-section refinement tolerance in dimensionless kappa*t
-TAU_REFINE_KT = 1e-4
 
 
 def concurrence(rho: np.ndarray) -> float:
@@ -215,28 +213,27 @@ class EmResult:
         }
 
 
-def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Golden-section maximization on [lo, hi]; returns (x, f(x)).
+def _concurrence_peak(series: np.ndarray) -> tuple:
+    """(j, x, C): the largest concurrence ``C = 2|b_j(x)|`` over the pieces
+    ``b_j(x) = sum_k series[j, k] x^k``, 0 <= x <= 1, of a Taylor table of
+    B[0,last], at the smallest maximising (j, x).
 
-    On plateaus the search drifts to the left edge, so the smallest
-    maximizing abscissa within tolerance is reported.
+    |b_j|^2 is a real polynomial in x, so its maximum on [0, 1] lies at
+    x = 0, x = 1 or a real root of its derivative.  Every root is tried
+    with its real part clipped to [0, 1]: each candidate is a point of the
+    piece, so extra ones cannot lift C above the true maximum.
     """
-    invphi = (math.sqrt(5) - 1) / 2
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    x = (a + b) / 2
-    return x, f(x)
+    best = (0, 0.0, -1.0)
+    for j, coef in enumerate(series):
+        square = np.convolve(coef, coef.conj()).real     # rising powers of x
+        slope = square[1:] * np.arange(1, len(square))
+        x = np.sort(np.concatenate([[0.0, 1.0],
+                                    np.clip(np.roots(slope[::-1]).real, 0.0, 1.0)]))
+        c = 2.0 * np.abs(np.polyval(coef[::-1], x))
+        i = int(np.argmax(c))
+        if c[i] > best[2]:
+            best = (j, float(x[i]), float(c[i]))
+    return best
 
 
 def _probe_rows(n: int) -> np.ndarray:
@@ -288,14 +285,17 @@ def max_entanglement_scan(
 
     A coarse pass evaluates `n_samples` equally spaced times exactly
     (doubling the window once if the maximum lands in the final 5% of
-    samples).  The block is then advanced once, to the grid point `lo`
-    before the maximum, and :meth:`SectorPropagator.probe_series` tables
-    the four probe readings over [lo, hi] up to the grid point after it.
-    A golden-section search on that table, reading E_F from the closed-form
-    concurrence 2|B[0,last]|, locates tau* to TAU_REFINE_KT in kappa*t.
-    The readings of every visited point and of tau* are checked together by
-    :func:`assert_sector_readings` before the result is returned, and only
-    the pair at tau* is built as a 4x4 state.
+    samples).  The refinement spans the grid neighbours of the maximum,
+    cut to one Taylor piece, ``1 / l1_norm``, either side of it, so on
+    any grid it holds two pieces at most, up to rounding.  The block is advanced once, to
+    the start of that span, and :meth:`SectorPropagator.probe_series`
+    tables the four probe readings over it.  E_F increases with the
+    concurrence 2|B[0,last]|, whose square is a polynomial on each piece,
+    so tau* is where :func:`_concurrence_peak` puts it, with no search
+    tolerance.  The scan never reports less than the grid maximum, and the
+    grid wins ties.  The readings at tau* are checked by
+    :func:`assert_sector_readings`, and only the pair there is built as a
+    4x4 state.
     """
     window = default_window_s(spec) if t_end is None else t_end
     check_grid(window, n_samples)
@@ -313,27 +313,29 @@ def max_entanglement_scan(
         extended = True
     interior = 0 < i_max < n_samples - 1
 
+    t_max, reach = times[i_max], 1.0 / prop.l1_norm
     k_lo = max(i_max - 1, 0)
-    lo, hi = times[k_lo], times[min(i_max + 1, n_samples - 1)]
-    # restart from the last long stride at or before lo
+    start = max(times[k_lo], t_max - reach)
+    stop = min(times[min(i_max + 1, n_samples - 1)], t_max + reach)
+    # restart from the last long stride at or before the span
     col = k_lo // stride
     t_col = times[col * stride]
     at_col = SectorState(state0.block00, prop.coherences(state0.block01, [t_col])[0],
                          blocks[col])
-    at_lo = prop.advance(at_col, lo - t_col)
-    series = prop.probe_series(at_lo.block11, hi - lo, _probe_rows(state0.n_sites))
-    visited = []
-
-    def ef_at(t: float) -> float:
-        visited.append(t)
-        return eof_from_concurrence(2.0 * abs(series([t - lo])[0, 3]))
-
-    tau_star, e_star = _golden_max(ef_at, lo, hi, TAU_REFINE_KT / kappa)
+    at_start = prop.advance(at_col, start - t_col)
+    series = prop.probe_series(at_start.block11, stop - start, _probe_rows(state0.n_sites))
+    if not np.isfinite(series).all():
+        raise IntegrationError("refinement table is not finite")
+    width = (stop - start) / len(series)
+    piece, x, c_star = _concurrence_peak(series[:, :, 3])
+    tau_star, e_star = start + (piece + x) * width, eof_from_concurrence(c_star)
     if efs[i_max] >= e_star:   # never report worse than the grid
-        tau_star, e_star = times[i_max], float(efs[i_max])
-    checked = np.array(visited + [tau_star])
-    coh = prop.coherences(state0.block01, checked)[:, [0, -1]]
-    sector = _probe_readings(state0, coh, series(checked - lo))
+        u = (t_max - start) / width
+        piece = min(int(u), len(series) - 1)
+        x, tau_star, e_star = u - piece, t_max, float(efs[i_max])
+    coh = prop.coherences(state0.block01, [tau_star])[:, [0, -1]]
+    readings = x ** np.arange(SERIES_DEGREE + 1) @ series[piece]
+    sector = _probe_readings(state0, coh, readings[None])
     assert_sector_readings(*sector)
 
     insert = int(np.searchsorted(times, tau_star))
@@ -347,6 +349,6 @@ def max_entanglement_scan(
         curve_ef=curve_e,
         interior=interior,
         extended=extended,
-        pair_state=_pair_states(sector[0], *(x[-1] for x in sector[1:])),
+        pair_state=_pair_states(sector[0], *(v[-1] for v in sector[1:])),
         kappa_angular=kappa,
     )

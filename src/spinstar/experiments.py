@@ -94,17 +94,16 @@ def _fit_linear_given_b(b: float, ms, inv_t2s, logs):
     return coef, logs - design @ coef, x
 
 
-def fit_exponential(points, b_bounds: tuple = (0.05, 3.0)) -> FitResult:
+def fit_exponential(points) -> FitResult:
     """Least squares of log e_m against a stretched-rate decay in (1/T2, M).
 
     `points` holds (m, t2_s, e_m) rows over a grid with at least three
-    distinct lengths and three distinct coherence times.  The exponent b
-    is located by golden-section search with a closed-form linear
-    subproblem; bounds widen automatically if the optimum pins one.  The
-    golden section stalls where SSE differences drop below rounding, so
-    b is then polished on the root of dSSE/db.  Nonpositive e_m rows are
-    dropped with a warning; rows are sorted, so their order does not
-    reach the result.
+    distinct lengths and three distinct coherence times.  For a given
+    exponent b the prefactor and rate are a linear fit.  b is the
+    argmin of the SSE on 97 geometric points of [1e-3, 50], made exact
+    as the root of dSSE/db between that point's two neighbours.
+    Nonpositive e_m rows are dropped with a warning; rows are sorted,
+    so their order does not reach the result.
     """
     from scipy.optimize import brentq
 
@@ -120,9 +119,6 @@ def fit_exponential(points, b_bounds: tuple = (0.05, 3.0)) -> FitResult:
     if len(set(ms)) < 3 or len(set(np.round(inv, 12))) < 3:
         raise ValueError("need at least 3 distinct lengths and 3 distinct t2 values")
 
-    lo, hi = b_bounds
-    invphi = (math.sqrt(5) - 1) / 2
-
     def sse(b):
         resid = _fit_linear_given_b(b, ms, inv, logs)[1]
         return float(resid @ resid)
@@ -132,34 +128,11 @@ def fit_exponential(points, b_bounds: tuple = (0.05, 3.0)) -> FitResult:
         coef, resid, x = _fit_linear_given_b(b, ms, inv, logs)
         return 2.0 * coef[1] * float(resid @ (np.log(inv) * x))
 
-    for _ in range(12):  # widen while the optimum pins a bound
-        a_, b_ = lo, hi
-        c = b_ - invphi * (b_ - a_)
-        d = a_ + invphi * (b_ - a_)
-        fc, fd = sse(c), sse(d)
-        while (b_ - a_) > 1e-10:
-            if fc <= fd:
-                b_, d, fd = d, c, fc
-                c = b_ - invphi * (b_ - a_)
-                fc = sse(c)
-            else:
-                a_, c, fc = c, d, fd
-                d = a_ + invphi * (b_ - a_)
-                fd = sse(d)
-        b_opt = (a_ + b_) / 2
-        span = hi - lo
-        if b_opt - lo < 1e-3 * span and lo > 1e-3:
-            lo = max(lo / 2, 1e-3)
-        elif hi - b_opt < 1e-3 * span and hi < 50:
-            hi = min(hi * 2, 50)
-        else:
-            break
-
-    for width in (1e-8, 1e-7, 1e-6, 1e-5, 1e-4):
-        left, right = max(b_opt - width, lo), min(b_opt + width, hi)
-        if dsse(left) < 0 < dsse(right):
-            b_opt = brentq(dsse, left, right, xtol=1e-15)
-            break
+    grid = np.geomspace(1e-3, 50.0, 97)
+    i = int(np.argmin([sse(b) for b in grid]))
+    left, right = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
+    # an optimum pinned at an end of the grid stays there
+    b_opt = brentq(dsse, left, right, xtol=1e-15) if dsse(left) < 0 < dsse(right) else grid[i]
 
     coef, resid, _ = _fit_linear_given_b(b_opt, ms, inv, logs)
     return FitResult(
@@ -280,13 +253,6 @@ class GradientSpec:
             raise ValueError("times must ascend strictly")
 
 
-def ideal_bell_pair() -> np.ndarray:
-    """The distributed single-excitation pair (|10> + |01>)/sqrt(2)."""
-    psi = np.zeros(4, dtype=complex)
-    psi[1] = psi[2] = 1 / math.sqrt(2)
-    return np.outer(psi, psi.conj())
-
-
 def gradient_coherence(
     pair: np.ndarray, grad: GradientSpec, pos_a_nm, pos_b_nm
 ) -> np.ndarray:
@@ -389,30 +355,18 @@ def _refine_frequency(t: np.ndarray, y: np.ndarray, w0: float, gamma: float,
     return w_fit / (gamma * d_nm * 1e-9)
 
 
-def estimate_gradient(
-    times_s, series, gamma: float = GAMMA_NV, d_nm: float = 50.0,
-    min_amplitude: float = MIN_AMPLITUDE,
-) -> float:
-    """Recover the gradient magnitude from a coherence oscillation.
-
-    Fits ``A*cos(w*t + phi)`` by coarse frequency search plus nonlinear
-    refinement and returns ``w/(gamma*D)``.  Readout times must be
-    finite and strictly increasing and the series finite.  Series
-    spanning less than half an oscillation period, or with fitted
-    amplitude below `min_amplitude`, are rejected.
-    """
-    t, (y,), (w0,) = _coarse_frequencies(times_s, series)
-    return _refine_frequency(t, y, float(w0), gamma, d_nm, min_amplitude)
-
-
 def estimate_gradient_xy(
     pair: np.ndarray, grad: GradientSpec
 ) -> tuple[float, float]:
     """Two-round gradient readout: a pair along x, then a pair along y.
 
     Both readouts share the time grid, so one coarse search projects the
-    two series on one basis; each is then refined as in
-    :func:`estimate_gradient`, x first, and gives the same value.
+    two series on one basis.  Each series is then fitted with
+    ``A*cos(w*t + phi)``, x first, seeded at its coarse frequency, and
+    gives ``w/(gamma*D)``.  Readout times must be finite and strictly
+    increasing.  A series that spans less than half an oscillation
+    period, or whose fitted amplitude is below MIN_AMPLITUDE, raises
+    EstimationError.
     """
     if not grad.times_s:
         raise ValueError("gradient spec carries no readout times")

@@ -107,23 +107,6 @@ class SectorState:
         return rho
 
 
-def sector_from_full(rho: np.ndarray, tol: float = 1e-10) -> SectorState:
-    """Project a full density matrix onto the 0+1 excitation representation.
-
-    Rejects states with weight outside those sectors.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    n = n_qubits(rho.shape[0])
-    idx = [2 ** (n - 1 - i) for i in range(n)]
-    keep = [0] + idx
-    weight_kept = sum(rho[a, a].real for a in keep)
-    if abs(weight_kept - np.trace(rho).real) > tol:
-        raise ValueError("state has weight outside the 0+1 excitation sectors")
-    block01 = np.array([rho[b, 0] for b in idx])
-    block11 = np.array([[rho[a, b] for b in idx] for a in idx])
-    return SectorState(float(rho[0, 0].real), block01, block11)
-
-
 @dataclass
 class Trajectory:
     """Sampled solution of the master equation at `times_s`.
@@ -210,12 +193,6 @@ def _master_equation(h: np.ndarray, noise: NoiseSpec, shape: tuple):
     return rhs
 
 
-def lindblad_rhs(rho: np.ndarray, h: np.ndarray, noise: NoiseSpec) -> np.ndarray:
-    """Right-hand side of the master equation on the full space."""
-    rho = np.asarray(rho, dtype=complex)
-    return _master_equation(h, noise, rho.shape)(rho)
-
-
 def _check_trace_drift(trace_series: np.ndarray) -> None:
     drift = float(np.abs(trace_series - 1.0).max())
     if drift > TRACE_DRIFT_TOL:
@@ -223,9 +200,9 @@ def _check_trace_drift(trace_series: np.ndarray) -> None:
 
 
 def check_grid(t_end: float, n_samples: int) -> None:
-    """Reject a sampling grid that is empty or runs backwards."""
-    if not t_end > 0:
-        raise ValueError(f"t_end must be positive, got {t_end}")
+    """Reject a sampling grid that is empty, runs backwards or never ends."""
+    if not 0 < t_end < math.inf:
+        raise ValueError(f"t_end must be positive and finite, got {t_end}")
     if n_samples < 2:
         raise ValueError(f"n_samples must be at least 2, got {n_samples}")
 
@@ -467,47 +444,6 @@ def _powers(p, x: np.ndarray, count: int) -> np.ndarray:
     return out
 
 
-class ProbeSeries:
-    """Readings ``probes^T vec(B(t))`` of one block over [0, span], piecewise Taylor.
-
-    [0, span] is cut into `pieces` of width s with ||L_R||_1 s <= 1.
-    Piece j holds ``table[j][k] = probes^T vec(B_k)``, B_k the Hermitian
-    form of ``(L_R s)^k / k! vec(R(j s))``, for k up to SERIES_DEGREE, and
-    the readings at ``(j + x) s``, 0 <= x <= 1, are
-    ``sum_k table[j][k] x^k``.  A piece is tabled the first time a reading
-    falls in it, from one exact step to its start from the start of the
-    nearest piece tabled before it, so the cost follows the pieces read
-    rather than the length of the span.
-    """
-
-    def __init__(self, prop: SectorPropagator, block11: np.ndarray, span: float,
-                 probes: np.ndarray):
-        norm = float(abs(prop.liouvillian).sum(axis=0).max())
-        self.pieces = max(1, math.ceil(norm * span))
-        self.width = span / self.pieces
-        self.table: dict = {}
-        self._starts = {0: _real_form(block11).ravel()}
-        self._prop, self._probes = prop, _real_probes(probes)
-        self._step = prop.liouvillian * self.width
-
-    def _piece(self, j: int) -> np.ndarray:
-        if j not in self.table:
-            i = max(i for i in self._starts if i <= j)
-            if i < j:
-                self._starts[j] = self._prop._carry(self._starts[i], (j - i) * self.width)
-            terms = (_powers(self._step, self._starts[j], SERIES_DEGREE + 1)
-                     * _INV_FACTORIALS[:, None])
-            self.table[j] = _join(terms @ self._probes)
-        return self.table[j]
-
-    def __call__(self, offsets) -> np.ndarray:
-        """Readings at `offsets` (seconds from the start); shape (len(offsets), p)."""
-        u = np.asarray(offsets, dtype=float) / self.width
-        j = np.clip(np.floor(u).astype(int), 0, self.pieces - 1)
-        x = (u - j)[:, None] ** np.arange(SERIES_DEGREE + 1)
-        return np.einsum("mk,mkp->mp", x, np.stack([self._piece(i) for i in j]))
-
-
 class SectorPropagator:
     """Exact propagator of the 0+1-excitation blocks of one arm.
 
@@ -533,8 +469,7 @@ class SectorPropagator:
     in closed form from the spread W of `energies` and from Gamma; the
     truncation and the piece length are derived bounds (see
     CHEB_GROWTH_MAX).  :meth:`probe_series`, the scan's refinement, forms
-    products ``L_R @ v`` and exact steps only, and is the same on both
-    branches.
+    products ``L_R @ v`` only, and is the same on both branches.
     """
 
     def __init__(self, h1: np.ndarray, noise: NoiseSpec):
@@ -566,6 +501,8 @@ class SectorPropagator:
         # unless dense_grid)
         self._shifted = None if sparse is None else (
             sparse + 2.0 * gamma * sp.identity(n * n, format="csr")).tocsr()
+        # ||L_R||_1, the largest column sum, sets the pieces of probe_series
+        self.l1_norm = float(abs(self.liouvillian).sum(axis=0).max())
 
     def coherences(self, block01: np.ndarray, times) -> np.ndarray:
         """`block01` evolved to each of `times`; shape (len(times), n)."""
@@ -635,14 +572,28 @@ class SectorPropagator:
                            _hermitian_form(vec.reshape(n, n)))
 
     def probe_series(self, block11: np.ndarray, span: float,
-                     probes: np.ndarray) -> ProbeSeries:
-        """Readings ``probes^T vec(B(t))`` for t in [0, span], from B(0) = `block11`.
+                     probes: np.ndarray) -> np.ndarray:
+        """Taylor table of the readings ``probes^T vec(B(t))`` for t in
+        [0, span], from B(0) = `block11`; `probes` is a real (n^2, p) array.
 
-        `probes` is a real (n^2, p) array.  Only products ``L_R @ v`` and
-        exact steps form the readings, so the dense and the sparse branch
-        share this; see :class:`ProbeSeries`.
+        [0, span] is cut into the fewest pieces of width s with
+        ``l1_norm * s <= 1``.  Entry [j, k] is ``probes^T vec(B_k)``, B_k
+        the Hermitian form of ``(L_R s)^k / k! vec(R(j s))``, so the
+        readings at ``(j + x) s``, 0 <= x <= 1, are ``sum_k table[j, k] x^k``;
+        each piece starts from the sum of the one before it at x = 1.  Only
+        products ``L_R @ v`` form the table, so the dense and the sparse
+        branch share this.  Shape (pieces, SERIES_DEGREE + 1, p), complex.
         """
-        return ProbeSeries(self, block11, span, probes)
+        pieces = max(1, math.ceil(self.l1_norm * span))
+        step = self.liouvillian * (span / pieces)
+        rows = _real_probes(probes)
+        vec = _real_form(block11).ravel()
+        table = np.empty((pieces, SERIES_DEGREE + 1, rows.shape[1]))
+        for j in range(pieces):
+            terms = _powers(step, vec, SERIES_DEGREE + 1) * _INV_FACTORIALS[:, None]
+            table[j] = terms @ rows
+            vec = terms.sum(axis=0)
+        return _join(table)
 
     def on_grid(self, block11: np.ndarray, window: float, n_samples: int,
                 probes: np.ndarray | None = None) -> tuple:
@@ -741,7 +692,7 @@ def evolve_sector(
     check_grid(t_end, n_samples)
     if not isinstance(rho0, SectorState):
         raise ValueError("evolve_sector expects a SectorState; "
-                         "use sector_from_full for full-space input")
+                         "evolve takes full-space input")
     rho0.check()
     h1 = graph if isinstance(graph, np.ndarray) else single_excitation_matrix(graph)
     n = rho0.n_sites

@@ -58,16 +58,6 @@ def n_qubits(dim: int) -> int:
     return n
 
 
-def tensor(*ops: np.ndarray) -> np.ndarray:
-    """Kronecker product of the given operators, leftmost factor first."""
-    if not ops:
-        raise ValueError("tensor() needs at least one factor")
-    out = np.asarray(ops[0], dtype=complex)
-    for op in ops[1:]:
-        out = np.kron(out, np.asarray(op, dtype=complex))
-    return out
-
-
 def embed(op: np.ndarray, site: int, n_sites: int) -> np.ndarray:
     """Embed a single-site operator on `site` of an `n_sites` register.
 
@@ -81,26 +71,6 @@ def embed(op: np.ndarray, site: int, n_sites: int) -> np.ndarray:
     left = np.eye(2 ** site, dtype=complex)
     right = np.eye(2 ** (n_sites - site - 1), dtype=complex)
     return np.kron(np.kron(left, op), right)
-
-
-def basis_state(bits, n_sites: int | None = None) -> np.ndarray:
-    """Computational basis ket for a bit sequence, e.g. ``basis_state([1, 0])``."""
-    bits = list(bits)
-    n = len(bits) if n_sites is None else n_sites
-    if len(bits) != n:
-        raise ValueError("bit count does not match n_sites")
-    index = 0
-    for b in bits:
-        index = (index << 1) | int(b)
-    ket = np.zeros(2 ** n, dtype=complex)
-    ket[index] = 1.0
-    return ket
-
-
-def ket2dm(psi: np.ndarray) -> np.ndarray:
-    """Density matrix |psi><psi| of a ket."""
-    psi = np.asarray(psi, dtype=complex)
-    return np.outer(psi, psi.conj())
 
 
 def number_operator(n_sites: int) -> np.ndarray:

@@ -12,12 +12,17 @@ from spinstar.chain import (
     build_coupling_graph,
     build_geometry,
     coupling_from_distance,
-    effective_delta_ratio,
     loss_configurations,
     single_excitation_matrix,
     validate_star_geometry,
 )
 from spinstar.qops import number_operator
+
+
+def effective_delta_ratio(spec):
+    """Cubic-law register-coupling ratio of the arm left by losing both end
+    sites: the register gap grows to ``register_gap + r``."""
+    return (spec.spacing_nm / (spec.register_gap_nm + spec.spacing_nm)) ** 3
 
 
 def test_geometry_default_positions():

@@ -144,7 +144,7 @@ def test_unknown_config_key_exits_2(tmp_path):
 
 
 @pytest.mark.parametrize("flags", [
-    ["--samples", "0"], ["--samples", "1"], ["--t-end-kt", "-5"],
+    ["--samples", "0"], ["--samples", "1"], ["--t-end-kt", "-5"], ["--t-end-kt", "inf"],
 ])
 def test_degenerate_scan_grid_exits_2(tmp_path, capsys, flags):
     # evolve samples the same kind of grid as scan and rejects it alike
@@ -249,6 +249,35 @@ def test_gradient_campaign(tmp_path):
     assert len(rows) == 33
 
 
+@pytest.mark.parametrize("flags", [
+    ["--gx", "0"], ["--gx", "nan"], ["--gx", "inf"], ["--gy", "nan"], ["--gy=-inf"],
+    ["--d-nm", "0"], ["--d-nm", "-50"], ["--d-nm", "nan"], ["--d-nm", "inf"],
+], ids=lambda flags: "".join(flags).lstrip("-"))
+def test_gradient_rejects_bad_field_and_separation_before_scanning(
+        tmp_path, capsys, monkeypatch, flags):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scanned a rejected configuration")
+
+    monkeypatch.setattr("spinstar.cli.distributed_pair", no_scan)
+    assert run_cli(tmp_path, "gradient", "--ms", "3", *flags) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("spinstar-error code=2 kind=config")
+    assert not (tmp_path / "gradient.json").exists()
+
+
+def test_gradient_campaign_runs_a_negative_gradient(tmp_path):
+    # the readout spans one period of |gx|; the estimates are magnitudes
+    code = run_cli(tmp_path, "gradient", "--ms", "3", "--gx", "-10", "--gy", "-10",
+                   "--n-times", "32", *FAST)
+    assert code == EXIT_OK
+    doc = json.loads((tmp_path / "gradient.json").read_text())
+    assert doc["true"]["gx"] == -10.0
+    est = doc["estimates"]["3"]
+    assert abs(est["gx"] - 10.0) / 10.0 < 1e-3
+    assert abs(est["gy"] - 10.0) / 10.0 < 1e-3
+    gdt = _csv_column(tmp_path / "fig8b.csv", "gamma_g_d_t")
+    assert gdt[0] == 0.0 and abs(gdt[-1] - 2 * math.pi) < 1e-9
+
+
 def test_evolve_campaign(tmp_path):
     code = run_cli(tmp_path, "evolve", "--m", "2", *FAST)
     assert code == EXIT_OK
@@ -350,7 +379,9 @@ ARM_FLAGS = [
                          ids=[flags[0].lstrip("-") for _, flags in ARM_FLAGS])
 def test_campaigns_honour_the_arm_flags(tmp_path, arm, flags):
     # sweep, fit, disorder and loss scan the arm the flags describe: each
-    # e_m is the scan of that ChainSpec and differs from the default arm
+    # e_m is the scan of that ChainSpec.  A clean arm's couplings
+    # kappa (r/d)^3 do not depend on the spacing r, so its exact E_m does
+    # not either; kappa and the register ratio move it
     def e_m(spec, t2_s=1e-3):
         return max_entanglement_scan(spec, NoiseSpec(t2_s=t2_s), n_samples=301).e_m
 
@@ -358,7 +389,10 @@ def test_campaigns_honour_the_arm_flags(tmp_path, arm, flags):
         assert values == [float(f"{x:.12g}") for x in expected]
 
     arm3 = ChainSpec(m_chain=3, **arm)
-    assert e_m(arm3) != e_m(ChainSpec(m_chain=3))
+    if "spacing_nm" in arm:
+        assert abs(e_m(arm3) - e_m(ChainSpec(m_chain=3))) < 1e-12
+    else:
+        assert e_m(arm3) != e_m(ChainSpec(m_chain=3))
 
     assert run_cli(tmp_path / "sweep", "sweep", "--ms", "3", *flags, *FAST) == EXIT_OK
     same(_csv_column(tmp_path / "sweep" / "fig4b.csv", "e_m"), [e_m(arm3)])

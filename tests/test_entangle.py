@@ -10,10 +10,8 @@ from spinstar.chain import (
     single_excitation_matrix,
 )
 from spinstar.entangle import (
-    TAU_REFINE_KT,
     EmResult,
     _check_support,
-    _golden_max,
     _pair_states,
     assert_sector_readings,
     concurrence,
@@ -33,7 +31,38 @@ from spinstar.lindblad import (
     initial_transfer_state,
     observable_expectation,
 )
-from spinstar.qops import DENSITY_HERMITIAN_TOL, ket2dm, partial_trace, pauli, tensor
+from spinstar.qops import DENSITY_HERMITIAN_TOL, partial_trace, pauli
+
+# oracle tolerance of the golden-section refinement, in kappa*t
+ORACLE_TOL_KT = 1e-9
+
+
+def ket2dm(psi):
+    return np.outer(psi, np.conj(psi))
+
+
+def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
+    """Golden-section maximization on [lo, hi]; returns (x, f(x)).
+
+    On plateaus the search drifts to the left edge, so the smallest
+    maximizing abscissa within tolerance is reported.
+    """
+    invphi = (math.sqrt(5) - 1) / 2
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    while (b - a) > tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    x = (a + b) / 2
+    return x, f(x)
 
 
 def assert_sector_pairs(pairs):
@@ -126,7 +155,7 @@ def test_local_unitary_invariance():
     rho = 0.7 * ket2dm(bell_psi_minus()) + 0.3 * np.eye(4) / 4
     base_c, base_e = concurrence(rho), eof(rho)
     for _ in range(8):
-        u = tensor(random_local_unitary(rng), random_local_unitary(rng))
+        u = np.kron(random_local_unitary(rng), random_local_unitary(rng))
         rotated = u @ rho @ u.conj().T
         assert abs(concurrence(rotated) - base_c) < 1e-9
         assert abs(eof(rotated) - base_e) < 1e-9
@@ -138,7 +167,7 @@ def test_pair_state_at_time_zero():
     pair = register_pair_state(traj, spec)[0]
     plus = np.array([1, 1], dtype=complex) / math.sqrt(2)
     ket0 = np.array([1, 0], dtype=complex)
-    assert np.abs(pair - tensor(ket2dm(plus), ket2dm(ket0))).max() < 1e-12
+    assert np.abs(pair - np.kron(ket2dm(plus), ket2dm(ket0))).max() < 1e-12
     assert eof(pair) < 1e-12
 
 
@@ -342,9 +371,10 @@ REFINE_CASES = [
                          ids=lambda v: f"n{v}" if isinstance(v, int) else
                          f"m{v.m_chain}-lost{len(v.lost_sites)}-dis{int(v.disorder is not None)}")
 def test_refinement_matches_advance_and_wootters(spec, n, t2):
-    # the oracle refines as the scan did before its probe series: each
-    # golden-section point is an exact advance read through the general
-    # Wootters concurrence
+    # the oracle is a golden-section search on the scan's span, one Taylor
+    # piece either side of the grid maximum within its grid neighbours,
+    # to ORACLE_TOL_KT; each of its points is an exact advance read
+    # through the general Wootters concurrence
     noise = NoiseSpec(t2_s=t2)
     result = max_entanglement_scan(spec, noise, n_samples=n)
     window = default_window_s(spec) * (2.0 if result.extended else 1.0)
@@ -354,16 +384,18 @@ def test_refinement_matches_advance_and_wootters(spec, n, t2):
     k_lo = max(i_max - 1, 0)
     lo, hi = traj.times_s[k_lo], traj.times_s[min(i_max + 1, n - 1)]
     prop = SectorPropagator(single_excitation_matrix(build_coupling_graph(spec)), noise)
+    t_max, reach = traj.times_s[i_max], 1.0 / prop.l1_norm
+    start, stop = max(lo, t_max - reach), min(hi, t_max + reach)
     at_lo = SectorState(traj.block00, traj.block01[k_lo], traj.block11[k_lo])
 
     def ef_at(t):
         return eof(pair_state_from_sector(prop.advance(at_lo, t - lo)))
 
-    tau, e_star = _golden_max(ef_at, lo, hi, TAU_REFINE_KT / spec.kappa_angular)
+    tau, e_star = _golden_max(ef_at, start, stop, ORACLE_TOL_KT / spec.kappa_angular)
     if efs[i_max] >= e_star:
-        tau, e_star = traj.times_s[i_max], efs[i_max]
+        tau, e_star = t_max, efs[i_max]
     assert abs(result.e_m - e_star) < 1e-12
-    assert abs(result.tau_star_kt - spec.kappa_angular * tau) <= TAU_REFINE_KT
+    assert abs(result.tau_star_kt - spec.kappa_angular * tau) <= 1e-4
     pair = pair_state_from_sector(prop.advance(at_lo, result.tau_star_s - lo))
     assert np.abs(result.pair_state - pair).max() < 1e-12
 
@@ -490,18 +522,59 @@ def test_readings_check_rejects_non_finite_readings_and_a_bad_trace():
 
 def test_refinement_checks_every_visited_state(monkeypatch):
     # the coarse grid is sound; a corrupted refinement table must not
-    # reach the result
+    # reach the result: B[0,last] beyond positivity, or not finite
     probe_series = SectorPropagator.probe_series
+    for shift in (0.6, np.nan):
 
-    def corrupted(self, *args):
-        series = probe_series(self, *args)
+        def corrupted(self, *args):
+            table = probe_series(self, *args)
+            table[:, 0, 3] += shift
+            return table
 
-        def readings(offsets):
-            values = series(offsets)
-            values[:, 3] += 0.6     # B[0,last] beyond positivity
-            return values
-        return readings
+        monkeypatch.setattr(SectorPropagator, "probe_series", corrupted)
+        with pytest.raises(IntegrationError):
+            max_entanglement_scan(ChainSpec(m_chain=3), NoiseSpec(t2_s=1e-3), n_samples=201)
 
-    monkeypatch.setattr(SectorPropagator, "probe_series", corrupted)
-    with pytest.raises(IntegrationError):
-        max_entanglement_scan(ChainSpec(m_chain=3), NoiseSpec(t2_s=1e-3), n_samples=201)
+
+@pytest.mark.parametrize("m_chain, tau_ref", [(1, 9.843826112), (3, 13.828534934)])
+def test_tau_star_matches_a_30_digit_reference(m_chain, tau_ref):
+    # the complex Haken-Strobl generator L on row-major vec(B), in kappa*t
+    # units, at 30 digits: one eigendecomposition makes B[0,last](tau) a
+    # sum of exponentials, and tau* is the root of d|B[0,last]|^2/dtau
+    # next to the scan's
+    from mpmath import mp
+
+    spec, noise = ChainSpec(m_chain=m_chain), NoiseSpec(t2_s=1e-3)
+    result = max_entanglement_scan(spec, noise)
+    h1 = single_excitation_matrix(build_coupling_graph(spec))
+    n = h1.shape[0]
+    with mp.workdps(30):
+        kappa = mp.mpf(spec.kappa_angular)
+        h = mp.matrix([[mp.mpf(float(v)) / kappa for v in row] for row in h1])
+        decay = -4 * mp.mpf(noise.rate) / kappa
+        gen = mp.matrix(n * n, n * n)
+        for i in range(n):
+            for j in range(n):
+                row = i * n + j
+                for k in range(n):    # -i (h B - B h) + D o B
+                    gen[row, k * n + j] += -1j * h[i, k]
+                    gen[row, i * n + k] += 1j * h[k, j]
+                if i != j:
+                    gen[row, row] += decay
+        rates, modes = mp.eig(gen)
+        b0 = mp.matrix(n * n, 1)
+        b0[0] = mp.mpf(1) / 2                  # B(0) = |0><0| / 2 ("plus")
+        weights = mp.lu_solve(modes, b0)
+        amp = [modes[n - 1, k] * weights[k] for k in range(n * n)]
+
+        def b0l(tau, order=0):
+            return mp.fsum(a * r ** order * mp.exp(r * tau) for a, r in zip(amp, rates))
+
+        tau = mp.findroot(lambda t: mp.re(mp.conj(b0l(t)) * b0l(t, 1)),
+                          mp.mpf(result.tau_star_kt))
+        c = 2 * abs(b0l(tau))
+        p = (1 + mp.sqrt(1 - c * c)) / 2
+        e_m = -(p * mp.log(p, 2) + (1 - p) * mp.log(1 - p, 2))
+    assert abs(float(tau) - tau_ref) < 1e-9
+    assert abs(result.tau_star_kt - float(tau)) < 1e-8
+    assert abs(result.e_m - float(e_m)) < 1e-13

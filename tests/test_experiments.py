@@ -8,16 +8,17 @@ from spinstar.chain import ChainSpec, GeometryError
 from spinstar.entangle import max_entanglement_scan
 from spinstar.experiments import (
     GAMMA_NV,
+    MIN_AMPLITUDE,
     EstimationError,
     GradientSpec,
+    _coarse_frequencies,
+    _refine_frequency,
     _sinusoid_sse,
     disorder_monte_carlo,
     distributed_pair,
-    estimate_gradient,
     estimate_gradient_xy,
     fit_exponential,
     gradient_coherence,
-    ideal_bell_pair,
     loss_study,
     stable_seed,
     sweep_length,
@@ -26,6 +27,19 @@ from spinstar.lindblad import NoiseSpec
 
 NOISE = NoiseSpec(t2_s=1e-3)
 FAST = {"n_samples": 401}
+
+
+def ideal_bell_pair():
+    """The distributed single-excitation pair (|10> + |01>)/sqrt(2)."""
+    psi = np.array([0, 1, 1, 0], dtype=complex) / math.sqrt(2)
+    return np.outer(psi, psi.conj())
+
+
+def estimate_gradient(times_s, series, gamma=GAMMA_NV, d_nm=50.0):
+    """One series through the steps of estimate_gradient_xy: the coarse
+    frequency search, then the nonlinear refinement."""
+    t, (y,), (w0,) = _coarse_frequencies(times_s, series)
+    return _refine_frequency(t, y, float(w0), gamma, d_nm, MIN_AMPLITUDE)
 
 
 def test_stable_seed_is_deterministic_and_spread():
@@ -75,10 +89,12 @@ def test_fit_is_permutation_invariant():
 
 
 def test_fit_widens_pinned_bounds():
-    pts = [(m, t2, math.exp(-1e-6 * (1 / t2) ** 1.8 * m))
-           for m in (3, 5, 7, 9) for t2 in (0.25e-3, 0.5e-3, 1e-3, 2e-3)]
-    fit = fit_exponential(pts, b_bounds=(0.05, 1.0))   # optimum above hi
-    assert abs(fit.b - 1.8) < 1e-3
+    # exponents far from the typical 0.6; at b = 12 the decays span
+    # 1e-10 to 151 e-folds over the grid
+    for b, a in ((1.8, 1e-6), (12.0, 1e-43)):
+        pts = [(m, t2, math.exp(-a * (1 / t2) ** b * m))
+               for m in (3, 5, 7, 9) for t2 in (0.25e-3, 0.5e-3, 1e-3, 2e-3)]
+        assert abs(fit_exponential(pts).b - b) < 1e-3
 
 
 def test_fit_exponent_is_stable_under_rounding_of_e_m():

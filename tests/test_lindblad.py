@@ -11,21 +11,38 @@ from spinstar.chain import (
     build_coupling_graph,
     single_excitation_matrix,
 )
-from spinstar.entangle import _probe_rows, eof, max_entanglement_scan, register_pair_state
+from spinstar.entangle import eof, max_entanglement_scan, register_pair_state
 from spinstar.lindblad import (
     NoiseSpec,
     SectorPropagator,
     SectorState,
+    _master_equation,
     default_window_s,
     evolve,
     evolve_chain,
     evolve_sector,
     initial_transfer_state,
-    lindblad_rhs,
     observable_expectation,
-    sector_from_full,
 )
-from spinstar.qops import embed, ket2dm, number_operator, pauli
+from spinstar.qops import embed, number_operator, pauli
+
+
+def ket2dm(psi):
+    return np.outer(psi, np.conj(psi))
+
+
+def lindblad_rhs(rho, h, noise):
+    """The right-hand side of the master equation at `rho`."""
+    rho = np.asarray(rho, dtype=complex)
+    return _master_equation(h, noise, rho.shape)(rho)
+
+
+def series_at(table, span, offsets):
+    """Readings of a probe_series `table` over [0, span] at `offsets`."""
+    u = np.asarray(offsets, dtype=float) / (span / len(table))
+    j = np.minimum(u.astype(int), len(table) - 1)
+    powers = (u - j)[:, None] ** np.arange(table.shape[1])
+    return np.einsum("mk,mkp->mp", powers, table[j])
 
 
 def test_noise_spec_rate():
@@ -65,19 +82,15 @@ def test_initial_state_excitation_mode():
 
 
 def test_sector_full_roundtrip():
+    # to_full places the blocks on the vacuum and the one-excitation states
     spec = ChainSpec(m_chain=2)
     state = initial_transfer_state(spec, form="sector")
-    back = sector_from_full(state.to_full())
-    assert abs(back.block00 - state.block00) < 1e-14
-    assert np.abs(back.block01 - state.block01).max() < 1e-14
-    assert np.abs(back.block11 - state.block11).max() < 1e-14
-
-
-def test_sector_from_full_rejects_two_excitations():
-    rho = ket2dm(np.kron(np.array([0, 1], dtype=complex),
-                         np.array([0, 1], dtype=complex)))
-    with pytest.raises(ValueError):
-        sector_from_full(rho)
+    rho = state.to_full()
+    idx = [2 ** (state.n_sites - 1 - i) for i in range(state.n_sites)]
+    assert abs(rho[0, 0] - state.block00) < 1e-14
+    assert np.abs(rho[idx, 0] - state.block01).max() < 1e-14
+    assert np.abs(rho[np.ix_(idx, idx)] - state.block11).max() < 1e-14
+    assert abs(np.trace(rho) - 1.0) < 1e-14
 
 
 def test_rhs_zero_hamiltonian_zero_noise():
@@ -346,14 +359,14 @@ def test_probe_series_matches_advance(spec, t2, limit, monkeypatch):
     rng = np.random.default_rng(spec.m_chain)
     probes = rng.normal(size=(n * n, 4))
     for span, several in ((window / 1000, False), (window / 20, True), (window, True)):
-        series = prop.probe_series(start.block11, span, probes)
-        assert (series.pieces > 1) == several
+        table = prop.probe_series(start.block11, span, probes)
+        assert (len(table) > 1) == several
+        assert table.shape[1:] == (lindblad.SERIES_DEGREE + 1, 4)
         offsets = np.concatenate([[0.0, span], rng.uniform(0.0, span, 8)])
         want = np.array([probes.T @ prop.advance(start, t).block11.ravel()
                          for t in offsets])
-        assert np.abs(series(offsets) - want).max() < 1e-12 * max(1.0, np.abs(want).max())
-        assert all(c.shape == (lindblad.SERIES_DEGREE + 1, 4) for c in series.table.values())
-        assert len(series.table) <= len(offsets)
+        got = series_at(table, span, offsets)
+        assert np.abs(got - want).max() < 1e-12 * max(1.0, np.abs(want).max())
 
 
 _CHEBYSHEV_ARMS = [
@@ -515,10 +528,10 @@ def test_chebyshev_branch_matches_dense_expm(spec, t2):
     assert _close(b_start, expm(liouvillian * (0.3 * window)) @ b0)
     for t in (0.0, window / 2000, 2 * window):
         assert _close(prop.advance(start, t).block11.ravel(), expm(liouvillian * t) @ b_start)
-    series = prop.probe_series(start.block11, window / 10, probes)
+    table = prop.probe_series(start.block11, window / 10, probes)
     offsets = np.concatenate([[window / 10], rng.uniform(0.0, window / 10, 3)])
     want = np.array([expm(liouvillian * t) @ b_start for t in offsets])
-    assert _close(series(offsets), want @ probes)
+    assert _close(series_at(table, window / 10, offsets), want @ probes)
 
 
 def test_chebyshev_pieces_stay_short_on_long_windows():
@@ -563,26 +576,6 @@ def test_chebyshev_branch_matches_expm_multiply_at_m31():
     want = np.array([expm_multiply(liouvillian * times[i], b0) for i in picks])
     assert _close(readings[picks], want @ probes)
     assert _close(prop.advance(state0, times[700]).block11.ravel(), want[1])
-
-
-def test_probe_series_carries_from_the_nearest_tabled_piece(monkeypatch):
-    spec = ChainSpec(m_chain=13)
-    window = default_window_s(spec)
-    prop = _arm_propagator(spec, NoiseSpec(t2_s=1e-3))
-    state0 = initial_transfer_state(spec)
-    probes = _probe_rows(state0.n_sites)
-    series = prop.probe_series(state0.block11, window, probes)
-    spans = []
-    carry = prop._carry
-    monkeypatch.setattr(prop, "_carry", lambda v, t: spans.append(t) or carry(v, t))
-    offsets = np.array([0.2, 0.5, 0.9, 0.95, 0.3]) * window
-    got = series(offsets)
-    # each new piece starts from the piece tabled last before it, and the
-    # piece of 0.3 from that of 0.2
-    assert len(spans) == len(series.table) == 5
-    assert max(spans) < 0.41 * window and sum(spans) < 1.05 * window
-    want = np.array([probes.T @ prop.advance(state0, t).block11.ravel() for t in offsets])
-    assert _close(got, want)
 
 
 def test_excitation_number_is_flat():

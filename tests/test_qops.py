@@ -5,16 +5,24 @@ from spinstar.qops import (
     LOWER,
     RAISE,
     assert_density,
-    basis_state,
     embed,
-    ket2dm,
     n_qubits,
     number_operator,
     partial_trace,
     pauli,
-    tensor,
 )
 from spinstar.star import StarSpec, build_star_hamiltonian, dicke_state, ground_states
+
+
+def basis_state(bits):
+    """Computational basis ket for a bit sequence, site 0 leftmost."""
+    ket = np.zeros(2 ** len(bits), dtype=complex)
+    ket[int("".join(map(str, bits)), 2)] = 1.0
+    return ket
+
+
+def ket2dm(psi):
+    return np.outer(psi, np.conj(psi))
 
 
 class MeasurementError(ValueError):
@@ -204,11 +212,6 @@ def test_number_operator_counts_excitations():
 def test_n_qubits_rejects_non_power_of_two():
     with pytest.raises(ValueError):
         n_qubits(6)
-
-
-def test_tensor_order():
-    assert np.array_equal(tensor(pauli("x"), np.eye(2)),
-                          embed(pauli("x"), 0, 2))
 
 
 def test_assert_density_checks_every_matrix_of_a_stack():

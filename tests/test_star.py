@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spinstar.qops import LOWER, RAISE, embed, ket2dm, number_operator
+from spinstar.qops import LOWER, RAISE, embed, number_operator
 from spinstar.star import (
     CollectiveState,
     StarSpec,
