@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .chain import ChainSpec, GeometryError, validate_star_geometry
-from .entangle import max_entanglement_scan, trajectory_eof
+from .entangle import max_entanglement_scan, sector_series, trajectory_eof
 from .experiments import (
     EstimationError,
     GradientSpec,
@@ -38,7 +38,7 @@ from .experiments import (
     stable_seed,
     sweep_length,
 )
-from .lindblad import IntegrationError, NoiseSpec, evolve_chain, observable_expectation
+from .lindblad import IntegrationError, NoiseSpec, evolve_chain, site_populations
 from .star import StarSpec, dicke_state, star_spectrum_analytic, w_state_protocol
 
 EXIT_OK = 0
@@ -290,19 +290,21 @@ def _cmd_wstate(cfg: RunConfig, outdir: str) -> list:
 
 def _cmd_evolve(cfg: RunConfig, outdir: str) -> list:
     p = cfg.params
+    if p["method"] not in ("sector", "full"):
+        raise ValueError(f"method must be 'sector' or 'full', got {p['method']!r}")
     _check_geometry(p, [p["m"]])
-    spec = _chain_spec(p)
-    kw = _scan_kwargs(p)
-    traj = evolve_chain(spec, _noise(p), t_end=kw.get("t_end"),
-                        n_samples=p["samples"], method=p["method"],
-                        register_state=p["register_state"])
-    columns = [traj.times_kt, traj.times_s,
-               observable_expectation(traj, ("pop", 0)),
-               observable_expectation(traj, ("pop", traj.n_sites - 1)),
-               observable_expectation(traj, ("n_exc",)), trajectory_eof(traj)]
+    spec, noise, kw = _chain_spec(p), _noise(p), _scan_kwargs(p)
+    if p["method"] == "sector":
+        times, pop0, pop_last, n_exc, e_f = sector_series(spec, noise, **kw)
+    else:
+        traj = evolve_chain(spec, noise, **kw)
+        pops = site_populations(traj)
+        times, pop0, pop_last, n_exc = traj.times_s, pops[:, 0], pops[:, -1], pops.sum(axis=1)
+        e_f = trajectory_eof(traj)
     path = os.path.join(outdir, "evolve.csv")
     write_csv(path, ["time_kt", "time_s", "pop_register0", "pop_register_end",
-                     "n_exc", "e_f"], [((), columns)])
+                     "n_exc", "e_f"],
+              [((), (spec.kappa_angular * times, times, pop0, pop_last, n_exc, e_f))])
     return [path]
 
 
@@ -344,6 +346,9 @@ def _cmd_sweep(cfg: RunConfig, outdir: str) -> list:
 
 def _cmd_fit(cfg: RunConfig, outdir: str) -> list:
     p = cfg.params
+    if len(set(p["ms"])) < 3 or len(set(p["t2s_ms"])) < 3:
+        raise ValueError(f"fit needs at least 3 distinct lengths and 3 distinct t2 "
+                         f"values, got ms={p['ms']}, t2s_ms={p['t2s_ms']}")
     _check_geometry(p, p["ms"])
     grid = []
     for t2_ms in p["t2s_ms"]:
@@ -383,6 +388,8 @@ def _cmd_disorder(cfg: RunConfig, outdir: str) -> list:
 
 def _cmd_loss(cfg: RunConfig, outdir: str) -> tuple[list, list]:
     p = cfg.params
+    if p["n_lost"] not in (0, 1, 2):
+        raise ValueError(f"n_lost must be 0, 1 or 2, got {p['n_lost']}")
     _check_geometry(p, p["ms"])
     n_losts = (1, 2) if p["n_lost"] == 0 else (p["n_lost"],)
     b_rows, cd_rows, notes = [], [], []
@@ -414,6 +421,8 @@ def _cmd_gradient(cfg: RunConfig, outdir: str) -> list:
                          f"got gx={p['gx']}, gy={p['gy']}")
     if not 0 < p["d_nm"] < math.inf:
         raise ValueError(f"d_nm must be positive and finite, got {p['d_nm']}")
+    if p["n_times"] < 1:
+        raise ValueError(f"n_times must be at least 1, got {p['n_times']}")
     _check_geometry(p, p["ms"])
     g_mag = math.hypot(p["gx"], p["gy"])
     # one oscillation period of the x-axis pair, sampled densely

@@ -125,7 +125,7 @@ def _sector_eof(vacuum, trace, pop0, pop_last, coh0, coh_last, b0l) -> np.ndarra
 
     Every pair passes :func:`assert_sector_readings`; E_F comes from the
     concurrence 2|B[0,last]|, exact for pairs without |11> weight.  The
-    scan's grid and a sector trajectory are read through this one step.
+    scan's grid and :func:`sector_series` are read through this one step.
     """
     assert_sector_readings(vacuum, trace, pop0, pop_last, coh0, coh_last, b0l)
     return eof_from_concurrence(2.0 * np.abs(b0l))
@@ -146,37 +146,21 @@ def _pair_states(vacuum, trace, pop0, pop_last, coh0, coh_last, b0l) -> np.ndarr
     return pair
 
 
-def _trajectory_readings(traj: Trajectory) -> tuple:
-    """The sector readings of :func:`_support` at every sample of a sector
-    trajectory, read from its stacked blocks."""
-    b, c, last = traj.block11, traj.block01, traj.n_sites - 1
-    return (traj.block00, np.trace(b, axis1=1, axis2=2), b[:, 0, 0], b[:, last, last],
-            c[:, 0], c[:, last], b[:, 0, last])
-
-
 def register_pair_state(traj: Trajectory, spec: ChainSpec | None = None) -> np.ndarray:
-    """Two-register reduced states along a trajectory, shape (N, 4, 4).
+    """Two-register reduced states along a full-space trajectory, by
+    partial trace, shape (N, 4, 4).
 
-    Basis order is |register0, register_end>: 00, 01, 10, 11.  A sector
-    trajectory gives them from its readings; a full one by partial trace.
+    Basis order is |register0, register_end>: 00, 01, 10, 11.
     """
     if spec is not None and spec.n_sites != traj.n_sites:
         raise ValueError("trajectory does not match the chain spec")
-    if traj.kind == "sector":
-        return _pair_states(*_trajectory_readings(traj))
     n = traj.n_sites
     return np.array([partial_trace(rho, (0, n - 1)) for rho in traj.states])
 
 
 def trajectory_eof(traj: Trajectory) -> np.ndarray:
-    """E_F of the register pair at every sample of a trajectory.
-
-    A sector trajectory goes through :func:`_sector_eof`, as the scan's
-    grid does; a full one through the general Wootters concurrence, the
-    oracle.
-    """
-    if traj.kind == "sector":
-        return _sector_eof(*_trajectory_readings(traj))
+    """E_F of the register pair at every sample of a full-space trajectory,
+    through the general Wootters concurrence, the oracle."""
     return np.array([eof(pair) for pair in register_pair_state(traj)])
 
 
@@ -256,22 +240,61 @@ def _probe_readings(state0: SectorState, coh: np.ndarray, readings: np.ndarray) 
     return state0.block00, trace, pop0, pop_last, coh[:, 0], coh[:, 1], b0l
 
 
-def _coarse_pass(prop: SectorPropagator, state0: SectorState, window: float,
-                 n_samples: int) -> tuple:
-    """E_F of the register pair on a uniform grid over [0, window].
+def _arm(spec: ChainSpec, noise: NoiseSpec, register_state: str) -> tuple:
+    """(propagator, initial sector state) of the transfer arm of `spec`."""
+    prop = SectorPropagator(single_excitation_matrix(build_coupling_graph(spec)), noise)
+    return prop, initial_transfer_state(spec, register_state, form="sector")
+
+
+def _grid_readings(prop: SectorPropagator, state0: SectorState, window: float,
+                   n_samples: int) -> tuple:
+    """The sector readings of :func:`_support` on a uniform grid over
+    [0, window].
 
     :meth:`SectorPropagator.on_grid` carries the four probe rows of
     :func:`_probe_rows` rather than the whole block, and
     :meth:`SectorPropagator.grid_coherences` forms the two vacuum
-    coherences from the same strides; E_F comes from :func:`_sector_eof`.
+    coherences from the same strides.
 
-    Returns (times, E_F, K, B at the long strides iK dt).
+    Returns (times, readings, K, B at the long strides iK dt).
     """
     n = state0.n_sites
     times, readings, k, blocks = prop.on_grid(state0.block11, window, n_samples,
                                               _probe_rows(n))
     coh = prop.grid_coherences(state0.block01, times[1], n_samples, k, [0, n - 1])
-    return times, _sector_eof(*_probe_readings(state0, coh, readings)), k, blocks
+    return times, _probe_readings(state0, coh, readings), k, blocks
+
+
+def _coarse_pass(prop: SectorPropagator, state0: SectorState, window: float,
+                 n_samples: int) -> tuple:
+    """E_F of the register pair on a uniform grid over [0, window], from
+    :func:`_grid_readings` through :func:`_sector_eof`.
+
+    Returns (times, E_F, K, B at the long strides iK dt).
+    """
+    times, readings, k, blocks = _grid_readings(prop, state0, window, n_samples)
+    return times, _sector_eof(*readings), k, blocks
+
+
+def sector_series(
+    spec: ChainSpec,
+    noise: NoiseSpec,
+    t_end: float | None = None,
+    n_samples: int = N_SAMPLES_DEFAULT,
+    register_state: str = "plus",
+) -> tuple:
+    """(times, B[0,0], B[last,last], tr B, E_F) on the grid of a scan.
+
+    The grid is a scan's coarse grid over [0, t_end], the automatic
+    window when `t_end` is None, never extended; populations and tr B are
+    real, and E_F is read as the scan reads it.
+    """
+    window = default_window_s(spec) if t_end is None else t_end
+    check_grid(window, n_samples)
+    times, readings, _, _ = _grid_readings(*_arm(spec, noise, register_state), window,
+                                           n_samples)
+    _, trace, pop0, pop_last = readings[:4]
+    return times, pop0.real, pop_last.real, trace.real, _sector_eof(*readings)
 
 
 def max_entanglement_scan(
@@ -300,8 +323,7 @@ def max_entanglement_scan(
     window = default_window_s(spec) if t_end is None else t_end
     check_grid(window, n_samples)
     kappa = spec.kappa_angular
-    prop = SectorPropagator(single_excitation_matrix(build_coupling_graph(spec)), noise)
-    state0 = initial_transfer_state(spec, register_state, form="sector")
+    prop, state0 = _arm(spec, noise, register_state)
 
     times, efs, stride, blocks = _coarse_pass(prop, state0, window, n_samples)
     i_max = int(np.argmax(efs))
@@ -319,11 +341,8 @@ def max_entanglement_scan(
     stop = min(times[min(i_max + 1, n_samples - 1)], t_max + reach)
     # restart from the last long stride at or before the span
     col = k_lo // stride
-    t_col = times[col * stride]
-    at_col = SectorState(state0.block00, prop.coherences(state0.block01, [t_col])[0],
-                         blocks[col])
-    at_start = prop.advance(at_col, start - t_col)
-    series = prop.probe_series(at_start.block11, stop - start, _probe_rows(state0.n_sites))
+    at_start = prop.advance(blocks[col], start - times[col * stride])
+    series = prop.probe_series(at_start, stop - start, _probe_rows(state0.n_sites))
     if not np.isfinite(series).all():
         raise IntegrationError("refinement table is not finite")
     width = (stop - start) / len(series)

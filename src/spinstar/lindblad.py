@@ -13,13 +13,14 @@ Two paths produce identical physics:
 * :func:`evolve` integrates the full 2^n density matrix with adaptive
   embedded Runge-Kutta (4)5 (the oracle path, practical up to a handful
   of sites);
-* :func:`evolve_sector` exploits excitation-number conservation to evolve
-  only the zero- and one-excitation blocks, exactly, with
-  :class:`SectorPropagator`; it scales to arbitrary chain lengths.  The
-  one-excitation block ``B`` is Hermitian, so the propagator carries it
-  in real arithmetic as its real form ``R = Re B + Im B``.
+* :class:`SectorPropagator` exploits excitation-number conservation to
+  propagate only the zero- and one-excitation blocks, exactly; it scales
+  to arbitrary chain lengths.  The one-excitation block ``B`` is
+  Hermitian, so the propagator carries it in real arithmetic as its real
+  form ``R = Re B + Im B``.
 
-Both report trace drift rather than renormalizing.
+Neither renormalizes: :func:`evolve` reports trace drift, and the sector
+readings are checked where they are read (:mod:`spinstar.entangle`).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from scipy.linalg import expm
 from scipy.sparse import _sparsetools
 from scipy.special import ive, jv
 
-from .chain import ChainSpec, CouplingGraph, build_coupling_graph, single_excitation_matrix
+from .chain import ChainSpec
 from .qops import assert_density, n_qubits
 
 RTOL_DEFAULT = 1e-8
@@ -82,16 +83,6 @@ class SectorState:
     def n_sites(self) -> int:
         return len(self.block01)
 
-    def check(self, tol: float = 1e-8) -> None:
-        total = self.block00 + float(np.trace(self.block11).real)
-        if abs(total - 1.0) > tol:
-            raise ValueError(f"sector populations sum to {total}, not 1")
-        if np.abs(self.block11 - self.block11.conj().T).max() > tol:
-            raise ValueError("one-excitation block is not Hermitian")
-        w = np.linalg.eigvalsh((self.block11 + self.block11.conj().T) / 2)
-        if w.min() < -tol:
-            raise ValueError("one-excitation block is not positive semidefinite")
-
     def to_full(self) -> np.ndarray:
         """Embed into the full 2^n space (site 0 as the leftmost factor)."""
         n = self.n_sites
@@ -109,23 +100,16 @@ class SectorState:
 
 @dataclass
 class Trajectory:
-    """Sampled solution of the master equation at `times_s`.
+    """Full-space solution of the master equation at `times_s`.
 
-    `times_kt` is the same grid in dimensionless kappa*t.  A full run
-    (kind "full") holds the density matrices as one (N, 2^n, 2^n) array
-    `states`.  A sector run (kind "sector") holds the stacked blocks of
-    :class:`SectorState`: the constant vacuum population `block00`,
-    `block01` of shape (N, n) and `block11` of shape (N, n, n).
+    `times_kt` is the same grid in dimensionless kappa*t, and `states`
+    holds the density matrices as one (N, 2^n, 2^n) array.
     """
 
     times_s: np.ndarray
     times_kt: np.ndarray
-    kind: str
     n_sites: int
-    states: np.ndarray | None = None
-    block00: float | None = None
-    block01: np.ndarray | None = None
-    block11: np.ndarray | None = None
+    states: np.ndarray
 
 
 def initial_transfer_state(
@@ -236,34 +220,33 @@ def evolve(
         raise IntegrationError(f"integrator failed: {sol.message}")
     states = sol.y.T.reshape(-1, dim, dim)
     _check_trace_drift(np.trace(states, axis1=1, axis2=2).real)
-    return Trajectory(times_s=times, times_kt=kappa_angular * times, kind="full",
+    return Trajectory(times_s=times, times_kt=kappa_angular * times,
                       n_sites=n_qubits(dim), states=states)
 
 
 # Crossovers of SectorPropagator's dense branch, in n^2, the size of the
 # generator L_R of an n-site arm.  Measured with one BLAS thread on a
 # 2-vCPU Xeon VM (numpy 2.4, scipy 1.17), default arms at T2 = 1 ms,
-# medians; on_grid over 2001 samples of the default window, with the
-# scan's probe rows or whole blocks; advance by two grid steps; peak
-# memory as traced by tracemalloc over one probe-row on_grid.  The sparse
-# columns are the Chebyshev branch:
+# medians; on_grid over 2001 samples of the default window with the
+# scan's probe rows; advance by two grid steps; peak memory as traced by
+# tracemalloc over one on_grid.  The sparse columns are the Chebyshev
+# branch:
 #
-#   M   n^2 |  probes, ms   |  blocks, ms   | advance, ms  | peak, MB
-#           | sparse  dense | sparse  dense | sparse dense | sparse dense
-#   3    25 |   5.3    0.4  |   5.7    1.5  |  0.32  0.06  |  0.20  0.31
-#   5    49 |   6.0    0.7  |   6.5    3.0  |  0.29  0.16  |  0.23  0.47
-#   7    81 |   9.6    1.6  |  11.3    6.5  |  0.47  0.54  |  0.27  0.70
-#   9   121 |  11.5    4.4  |  14.1    9.6  |  0.50  1.13  |  0.33  1.01
-#  11   169 |  13.0    7.2  |  17.2   19.8  |  0.49  3.28  |  0.40  2.09
-#  13   225 |  14.6   18.4  |  23.8   39.2  |  0.49  6.32  |  0.47  3.68
-#  15   289 |  13.6   30.6  |  20.0   60.2  |  0.29  12.2  |  0.55  6.05
+#   M   n^2 |  on_grid, ms  | advance, ms  | peak, MB
+#           | sparse  dense | sparse dense | sparse dense
+#   3    25 |   5.3    0.4  |  0.32  0.06  |  0.20  0.31
+#   5    49 |   6.0    0.7  |  0.29  0.16  |  0.23  0.47
+#   7    81 |   9.6    1.6  |  0.47  0.54  |  0.27  0.70
+#   9   121 |  11.5    4.4  |  0.50  1.13  |  0.33  1.01
+#  11   169 |  13.0    7.2  |  0.49  3.28  |  0.40  2.09
+#  13   225 |  14.6   18.4  |  0.49  6.32  |  0.47  3.68
+#  15   289 |  13.6   30.6  |  0.29  12.2  |  0.55  6.05
 #
-# advance carries one state per call (a scan calls it once, to the start
+# advance carries one block per call (a scan calls it once, to the start
 # of its refinement), so its dense exponential pays only while it costs
 # less than one Chebyshev carry: n^2 <= 49.  On the grid the two branches
-# meet between n^2 = 169 and 225 for probe rows and between 121 and 169
-# for whole blocks; past that the dense working set also grows as n^4
-# (expm holds several n^2 x n^2 arrays).
+# meet between n^2 = 169 and 225; past that the dense working set also
+# grows as n^4 (expm holds several n^2 x n^2 arrays).
 DENSE_GRID_MAX = 169
 DENSE_ADVANCE_MAX = 49
 
@@ -564,12 +547,10 @@ class SectorPropagator:
             vec = coef[0] @ _chebyshev_terms(y, y2, sign, vec, coef.shape[1])
         return vec
 
-    def advance(self, state: SectorState, t: float) -> SectorState:
-        """`state` evolved by `t` seconds."""
-        n = state.n_sites
-        vec = self._carry(_real_form(state.block11).ravel(), t)
-        return SectorState(state.block00, self.coherences(state.block01, [t])[0],
-                           _hermitian_form(vec.reshape(n, n)))
+    def advance(self, block11: np.ndarray, t: float) -> np.ndarray:
+        """The one-excitation block `block11` evolved by `t` seconds."""
+        vec = self._carry(_real_form(block11).ravel(), t)
+        return _hermitian_form(vec.reshape(block11.shape))
 
     def probe_series(self, block11: np.ndarray, span: float,
                      probes: np.ndarray) -> np.ndarray:
@@ -596,24 +577,23 @@ class SectorPropagator:
         return _join(table)
 
     def on_grid(self, block11: np.ndarray, window: float, n_samples: int,
-                probes: np.ndarray | None = None) -> tuple:
-        """`block11` propagated to `n_samples` equally spaced times on [0, window].
+                probes: np.ndarray) -> tuple:
+        """The readings ``probes^T vec(B)`` of `block11` propagated to
+        `n_samples` equally spaced times on [0, window]; `probes` is a real
+        (n^2, p) array of rows r.
 
         With grid step dt and stride K = isqrt(n_samples - 1) + 1, sample
         iK + j is exp(L_R j dt) exp(L_R iK dt) vec(R0).  On the dense
         branch vec(R0) is carried over the long strides iK dt by repeated
-        products with P_K = expm(L_R K dt), then those columns over the
-        short strides j dt by products with P_1 = expm(L_R dt); given
-        `probes`, a real (n^2, p) array of rows r, the short strides carry
-        the 2p real rows of :func:`_real_probes` instead, exp(L_R^T j dt) r,
-        and only the readings r^T vec(B) are formed, in one product.  On
-        the sparse branch vec(R0) is carried over pieces of K dt / r by the
-        Chebyshev series, whose one table of coefficients gives every
-        sample in a piece.
+        products with P_K = expm(L_R K dt), and the 2p real rows of
+        :func:`_real_probes` over the short strides j dt by products with
+        P_1^T = expm(L_R dt)^T, exp(L_R^T j dt) r, so the readings come out
+        of one product.  On the sparse branch vec(R0) is carried over
+        pieces of K dt / r by the Chebyshev series, whose one table of
+        coefficients gives every sample in a piece.
 
-        Returns (times, values, K, B at the long strides iK dt), where
-        `values` holds the blocks, shape (n_samples, n, n), or the
-        readings, shape (n_samples, p).
+        Returns (times, readings, K, B at the long strides iK dt), the
+        readings of shape (n_samples, p).
         """
         n = block11.shape[0]
         times = np.linspace(0.0, window, n_samples)
@@ -621,30 +601,21 @@ class SectorPropagator:
         k = math.isqrt(n_samples - 1) + 1
         n_long = (n_samples - 1) // k + 1
         vec = _real_form(block11).ravel()
-        rows = None if probes is None else _real_probes(probes)
+        rows = _real_probes(probes)
         if not self.dense_grid:
             values, cols = self._chebyshev_grid(vec, k, dt, n_long, n_samples, rows)
         else:
             cols = _powers(expm(self.liouvillian * (k * dt)), vec, n_long)
-            step = expm(self.liouvillian * dt)
-            if rows is None:
-                short = _powers(step, cols.T, k)
-                values = short.transpose(2, 0, 1).reshape(-1, n * n)[:n_samples]
-            else:
-                width = rows.shape[1]
-                carried = _powers(step.T, rows, k)
-                values = ((cols @ carried.transpose(1, 0, 2).reshape(n * n, k * width))
-                          .reshape(-1, width)[:n_samples])
-        if probes is None:
-            values = _hermitian_form(values.reshape(n_samples, n, n))
-        else:
-            values = _join(values)
-        return times, values, k, _hermitian_form(cols.reshape(-1, n, n))
+            width = rows.shape[1]
+            carried = _powers(expm(self.liouvillian * dt).T, rows, k)
+            values = ((cols @ carried.transpose(1, 0, 2).reshape(n * n, k * width))
+                      .reshape(-1, width)[:n_samples])
+        return times, _join(values), k, _hermitian_form(cols.reshape(-1, n, n))
 
     def _chebyshev_grid(self, vec: np.ndarray, k: int, dt: float, n_long: int,
-                        n_samples: int, rows: np.ndarray | None) -> tuple:
+                        n_samples: int, rows: np.ndarray) -> tuple:
         """Sparse branch of :meth:`on_grid` on vec(R): (values, columns),
-        real, with the readings of the real `rows` or whole vec(R).
+        real, with the readings of the real `rows`.
 
         Each stride K dt is cut into r pieces of K dt / r.  Sample j of a
         stride lies in piece (j r) // K at offset ((j r) mod K) dt / r, so
@@ -654,8 +625,7 @@ class SectorPropagator:
         r, sign, y, y2, coef = self._chebyshev(k * dt, np.arange(k + 1) / k)
         piece, row = np.divmod(np.arange(k) * r, k)
         in_piece = [np.flatnonzero(piece == i) for i in range(r)]
-        width = vec.size if rows is None else rows.shape[1]
-        values = np.empty((n_samples, width))
+        values = np.empty((n_samples, rows.shape[1]))
         cols = np.empty((n_long, vec.size))
         last = n_samples - 1
         for i in range(n_long):
@@ -667,43 +637,9 @@ class SectorPropagator:
                 js = in_piece[q]
                 js = js[base + js <= last]
                 if js.size:
-                    read = terms if rows is None else terms @ rows
-                    values[base + js] = coef[row[js]] @ read
+                    values[base + js] = coef[row[js]] @ (terms @ rows)
                 vec = coef[k] @ terms
         return values, cols
-
-
-def evolve_sector(
-    rho0: SectorState,
-    graph: CouplingGraph | np.ndarray,
-    noise: NoiseSpec,
-    t_end: float,
-    n_samples: int = N_SAMPLES_DEFAULT,
-    kappa_angular: float = 1.0,
-) -> Trajectory:
-    """Evolve the master equation on the excitation-reduced representation.
-
-    The generator closes on the 0+1 excitation blocks (the Hamiltonian
-    conserves excitation number and the dephasing operators are diagonal),
-    so this reproduces :func:`evolve` at (n+1)^2 cost.  `graph` is the
-    arm's coupling graph or its hopping matrix; the blocks are propagated
-    exactly by :class:`SectorPropagator`.
-    """
-    check_grid(t_end, n_samples)
-    if not isinstance(rho0, SectorState):
-        raise ValueError("evolve_sector expects a SectorState; "
-                         "evolve takes full-space input")
-    rho0.check()
-    h1 = graph if isinstance(graph, np.ndarray) else single_excitation_matrix(graph)
-    n = rho0.n_sites
-    if h1.shape != (n, n):
-        raise ValueError("coupling matrix does not match the state size")
-    prop = SectorPropagator(h1, noise)
-    times, blocks, _, _ = prop.on_grid(rho0.block11, t_end, n_samples)
-    _check_trace_drift(rho0.block00 + np.trace(blocks, axis1=1, axis2=2).real)
-    return Trajectory(times_s=times, times_kt=kappa_angular * times, kind="sector",
-                      n_sites=n, block00=rho0.block00,
-                      block01=prop.coherences(rho0.block01, times), block11=blocks)
 
 
 def default_window_s(spec: ChainSpec) -> float:
@@ -716,87 +652,26 @@ def evolve_chain(
     noise: NoiseSpec,
     t_end: float | None = None,
     n_samples: int = N_SAMPLES_DEFAULT,
-    method: str = "sector",
     register_state: str = "plus",
     rtol: float = RTOL_DEFAULT,
     atol: float = ATOL_DEFAULT,
 ) -> Trajectory:
-    """Build the arm for `spec` and evolve the transfer initial state.
+    """Build the arm for `spec` and evolve the transfer initial state on
+    the full Hilbert space with :func:`evolve`, the oracle path.
 
-    `rtol`/`atol` set the Runge-Kutta tolerances of ``method="full"``;
-    the sector path is exact and takes none.
+    `rtol`/`atol` are the Runge-Kutta tolerances.
     """
-    graph = build_coupling_graph(spec)
+    from .chain import build_chain_hamiltonian
+
     t_end = default_window_s(spec) if t_end is None else t_end
-    if method == "sector":
-        state0 = initial_transfer_state(spec, register_state, form="sector")
-        return evolve_sector(state0, graph, noise, t_end, n_samples,
-                             kappa_angular=spec.kappa_angular)
-    if method == "full":
-        from .chain import build_chain_hamiltonian
-
-        h, _ = build_chain_hamiltonian(spec)
-        rho0 = initial_transfer_state(spec, register_state, form="full")
-        return evolve(rho0, h, noise, t_end, n_samples, rtol, atol,
-                      kappa_angular=spec.kappa_angular)
-    raise ValueError("method must be 'sector' or 'full'")
+    h, _ = build_chain_hamiltonian(spec)
+    rho0 = initial_transfer_state(spec, register_state, form="full")
+    return evolve(rho0, h, noise, t_end, n_samples, rtol, atol,
+                  kappa_angular=spec.kappa_angular)
 
 
-def observable_expectation(traj: Trajectory, op) -> np.ndarray:
-    """Real expectation series Tr(rho(t) O) along a trajectory.
-
-    `op` is either a dense operator on the trajectory's 2^n space or a
-    site-local descriptor: ``"identity"``, ``("n_exc",)``, ``("sz", i)``
-    or ``("pop", i)``.  Descriptors evaluate directly on sector blocks.
-    A descriptor that is unknown, or whose site is missing or outside
-    0..n-1, raises ValueError on either kind of trajectory.
-    """
-    if isinstance(op, str):
-        op = (op,)
-    if isinstance(op, tuple):
-        return _descriptor_expectation(traj, op)
-    op = np.asarray(op, dtype=complex)
-    dim = 2 ** traj.n_sites
-    if op.shape != (dim, dim):
-        raise ValueError("operator dimension does not match trajectory")
-    if traj.kind == "full":
-        vals = np.trace(traj.states @ op, axis1=1, axis2=2)
-    else:
-        # rho vanishes outside the vacuum and the one-excitation states
-        idx = 2 ** (traj.n_sites - 1 - np.arange(traj.n_sites))
-        vals = (traj.block00 * op[0, 0] + traj.block01 @ op[0, idx]
-                + traj.block01.conj() @ op[idx, 0]
-                + np.einsum("kij,ji->k", traj.block11, op[np.ix_(idx, idx)]))
-    if np.abs(op - op.conj().T).max() < 1e-12 and np.abs(vals.imag).max() > 1e-8:
-        raise ValueError("expectation of Hermitian operator has imaginary part "
-                         f"{np.abs(vals.imag).max():.3e}")
-    return vals.real
-
-
-def _descriptor_expectation(traj: Trajectory, desc: tuple) -> np.ndarray:
-    name, n = desc[0], traj.n_sites
-    if name not in ("identity", "n_exc", "sz", "pop"):
-        raise ValueError(f"unknown observable descriptor {desc!r}")
-    site = desc[1] if len(desc) == 2 else None
-    if name in ("sz", "pop") and not (isinstance(site, (int, np.integer)) and 0 <= site < n):
-        raise ValueError(f"descriptor {desc!r} needs one site in 0..{n - 1}")
-    if traj.kind != "sector":
-        # full-space path goes through dense operators
-        from .qops import embed, number_operator, pauli
-
-        if name == "identity":
-            op = np.eye(2 ** n, dtype=complex)
-        elif name == "n_exc":
-            op = number_operator(n)
-        elif name == "sz":
-            op = embed(pauli("z"), site, n)
-        else:
-            op = embed(np.diag([0.0, 1.0]).astype(complex), site, n)
-        return observable_expectation(traj, op)
-    n_exc = np.trace(traj.block11, axis1=1, axis2=2).real
-    if name == "identity":
-        return traj.block00 + n_exc
-    if name == "n_exc":
-        return n_exc
-    pop = traj.block11[:, site, site].real
-    return (traj.block00 + n_exc) - 2 * pop if name == "sz" else pop
+def site_populations(traj: Trajectory) -> np.ndarray:
+    """Excited population of every site along a trajectory, shape (N, n),
+    read from the diagonal of the states."""
+    excited = (1.0 - _z_diagonals(traj.n_sites)) / 2.0
+    return np.diagonal(traj.states, axis1=1, axis2=2).real @ excited.T

@@ -73,15 +73,6 @@ def embed(op: np.ndarray, site: int, n_sites: int) -> np.ndarray:
     return np.kron(np.kron(left, op), right)
 
 
-def number_operator(n_sites: int) -> np.ndarray:
-    """Total excitation number: counts sites in ``|1>``."""
-    n_op = np.zeros((2 ** n_sites, 2 ** n_sites), dtype=complex)
-    excited = np.array([[0, 0], [0, 1]], dtype=complex)
-    for site in range(n_sites):
-        n_op += embed(excited, site, n_sites)
-    return n_op
-
-
 def assert_density(
     rho: np.ndarray,
     herm_tol: float = DENSITY_HERMITIAN_TOL,

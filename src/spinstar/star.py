@@ -5,9 +5,7 @@ The Hamiltonian is the resonant flip-flop form
     H = lambda * (s0+ J- + s0- J+),      J+- = sum_i s_i+-
 
 whose eigenstates pair ``|0>|j,m>`` with ``|1>|j,m-1>`` at energies
-``+-lambda*sqrt((j+m)(j-m+1))``.  The equivalent x/y form
-``lambda*(s0x Jx + s0y Jy)`` is twice this operator and is exposed through
-the `form` flag.
+``+-lambda*sqrt((j+m)(j-m+1))``.
 """
 
 from __future__ import annotations
@@ -17,8 +15,6 @@ from itertools import combinations
 from math import comb, sqrt
 
 import numpy as np
-
-from .qops import RAISE, embed
 
 
 @dataclass(frozen=True)
@@ -35,41 +31,6 @@ class StarSpec:
             raise ValueError("coupling must be positive")
 
 
-@dataclass(frozen=True)
-class CollectiveState:
-    """Symmetric-sector state |j, m> of n spins with total-spin labels."""
-
-    j: float
-    m: float
-    amplitudes: np.ndarray
-
-    def check(self, tol: float = 1e-10) -> None:
-        """Verify the J^2 and J_z eigenvalue relations on the amplitudes."""
-        n = int(np.log2(len(self.amplitudes)) + 0.5)
-        ops = collective_ops(n)
-        psi = self.amplitudes
-        if np.linalg.norm(ops["j2"] @ psi - self.j * (self.j + 1) * psi) > tol:
-            raise ValueError("state is not a J^2 eigenstate with label j")
-        if np.linalg.norm(ops["jz"] @ psi - self.m * psi) > tol:
-            raise ValueError("state is not a J_z eigenstate with label m")
-
-
-def collective_ops(n: int) -> dict[str, np.ndarray]:
-    """Total-spin operators of n spin-1/2 sites (J_z eigenvalue m on |j,m>)."""
-    dim = 2 ** n
-    jp = np.zeros((dim, dim), dtype=complex)
-    jz = np.zeros((dim, dim), dtype=complex)
-    half_z = np.array([[-0.5, 0], [0, 0.5]], dtype=complex)  # +1/2 on |1>
-    for site in range(n):
-        jp += embed(RAISE, site, n)
-        jz += embed(half_z, site, n)
-    jm = jp.conj().T
-    jx = (jp + jm) / 2
-    jy = (jp - jm) / (2j)
-    j2 = jx @ jx + jy @ jy + jz @ jz
-    return {"jx": jx, "jy": jy, "jz": jz, "jplus": jp, "jminus": jm, "j2": j2}
-
-
 def dicke_state(n: int, k: int) -> np.ndarray:
     """Equal superposition of all n-bit basis states with k excitations."""
     if not 0 <= k <= n:
@@ -82,38 +43,23 @@ def dicke_state(n: int, k: int) -> np.ndarray:
     return psi
 
 
-def collective_state(n: int, m: float) -> CollectiveState:
-    """The maximal-multiplet state |j=n/2, m> (a Dicke state)."""
-    j = n / 2
-    k = round(m + j)
-    if abs(m + j - k) > 1e-12 or not 0 <= k <= n:
-        raise ValueError(f"m={m} invalid for j={j}")
-    return CollectiveState(j=j, m=m, amplitudes=dicke_state(n, k))
-
-
-def build_star_hamiltonian(spec: StarSpec, form: str = "ladder") -> np.ndarray:
-    """Dense star Hamiltonian on N+1 qubits, central spin at site 0.
-
-    `form` selects the normalization convention: ``"ladder"`` is the
-    flip-flop operator above, ``"xy"`` is its doubled x/y-product form.
-    """
+def build_star_hamiltonian(spec: StarSpec) -> np.ndarray:
+    """Dense star Hamiltonian on N+1 qubits, central spin at site 0: the
+    flip-flop operator above, built by index."""
     n = spec.n_outer
     n_sites = n + 1
     if n_sites > 14:
         raise ValueError("dense star limited to 14 sites total")
-    if form not in ("ladder", "xy"):
-        raise ValueError("form must be 'ladder' or 'xy'")
     dim = 2 ** n_sites
     h = np.zeros((dim, dim), dtype=complex)
     index = np.arange(dim)
     central = 1 << (n_sites - 1)   # site 0 is the leftmost bit
-    strength = spec.coupling * (2.0 if form == "xy" else 1.0)
     for outer in range(1, n_sites):
         bit = 1 << (n_sites - 1 - outer)
         # s0+ s_i- flips |0 at site 0, 1 at site i> to |1, 0>
         src = index[((index & central) == 0) & ((index & bit) != 0)]
         dst = src ^ (central | bit)
-        h[dst, src] = h[src, dst] = strength
+        h[dst, src] = h[src, dst] = spec.coupling
     return h
 
 
@@ -164,14 +110,14 @@ def ground_states(spec: StarSpec) -> list[np.ndarray]:
     ket0 = np.array([1, 0], dtype=complex)
     ket1 = np.array([0, 1], dtype=complex)
 
-    def paired(m: float) -> np.ndarray:
-        upper = collective_state(n, m).amplitudes
-        lower = collective_state(n, m - 1).amplitudes
+    def paired(k: int) -> np.ndarray:
+        # |N/2, m> is the Dicke state with k = m + N/2 excitations
+        upper, lower = dicke_state(n, k), dicke_state(n, k - 1)
         return (np.kron(ket0, upper) - np.kron(ket1, lower)) / sqrt(2)
 
     if n % 2 == 1:
-        return [paired(0.5)]
-    return [paired(0.0), paired(1.0)]
+        return [paired((n + 1) // 2)]
+    return [paired(n // 2), paired(n // 2 + 1)]
 
 
 def w_state_protocol(spec: StarSpec, central_outcome: int) -> tuple[float, np.ndarray]:

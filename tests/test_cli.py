@@ -156,21 +156,41 @@ def test_degenerate_scan_grid_exits_2(tmp_path, capsys, flags):
 
 def test_corrupted_propagation_exits_4(tmp_path, capsys, monkeypatch):
     # a propagated pair state that fails its density check is a numerical
-    # failure: B[0,last] beyond sqrt(B[0,0] B[last,last]) is not positive
+    # failure: B[0,last] beyond sqrt(B[0,0] B[last,last]) is not positive.
+    # scan and evolve read the same probe rows
     on_grid = SectorPropagator.on_grid
 
     def corrupted(self, *args, **kwargs):
         times, values, k, cols = on_grid(self, *args, **kwargs)
-        if values.ndim == 3:    # whole blocks, for evolve
-            values[:, 0, -1] += 0.6
-        else:                   # probe readings, for scan
-            values[:, 3] += 0.6
+        values[:, 3] += 0.6
         return times, values, k, cols
 
     monkeypatch.setattr(SectorPropagator, "on_grid", corrupted)
     for command in ("scan", "evolve"):
         assert run_cli(tmp_path, command, "--m", "3", *FAST) == EXIT_NUMERIC, command
         assert capsys.readouterr().err.startswith("spinstar-error code=4 kind=numeric")
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "--ms", "3,5,7", "--t2s-ms", "1,1,1"],
+    ["fit", "--ms", "3,3,5", "--t2s-ms", "0.5,1,2"],
+    ["loss", "--ms", "1,2", "--n-lost", "3"],
+    ["loss", "--ms", "5", "--n-lost", "3"],
+    ["gradient", "--ms", "3", "--n-times", "0"],
+    ["evolve", "--m", "3", "--method", "exact"],
+], ids=["fit-t2s", "fit-ms", "loss-short", "loss-long", "gradient", "evolve"])
+def test_configuration_errors_exit_2_before_scanning(tmp_path, capsys, monkeypatch, argv):
+    # errors a configuration shows up front are found before the first
+    # scan, and no output file is written
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scanned a rejected configuration")
+
+    monkeypatch.setattr("spinstar.experiments.max_entanglement_scan", no_scan)
+    monkeypatch.setattr("spinstar.cli.sector_series", no_scan)
+    monkeypatch.setattr("spinstar.cli.evolve_chain", no_scan)
+    assert run_cli(tmp_path, *argv, *FAST) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("spinstar-error code=2 kind=config")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_jobs_is_no_longer_a_key(tmp_path, capsys):
@@ -290,7 +310,7 @@ def test_evolve_campaign(tmp_path):
 
 @pytest.mark.parametrize("register", ["plus", "one"])
 def test_evolve_sector_csv_matches_the_full_space_oracle(tmp_path, register, monkeypatch):
-    # the sector path reads its pairs from stacked blocks through the scan's
+    # the sector path reads the scan's probe rows through the scan's
     # readings check; the full path integrates 2^n x 2^n states with RK45
     # and reads every pair through the general Wootters concurrence.  The
     # oracle runs at A3's tolerances: at the default rtol of 1e-8 its
@@ -311,6 +331,26 @@ def test_evolve_sector_csv_matches_the_full_space_oracle(tmp_path, register, mon
     assert header == "time_kt,time_s,pop_register0,pop_register_end,n_exc,e_f"
     assert columns["sector"].shape == (301, 6)
     assert np.abs(columns["sector"] - columns["full"]).max() < 1e-8   # every column
+
+
+@pytest.mark.parametrize("m", ["3", "13"])
+def test_evolve_reads_the_scan_grid(tmp_path, m):
+    # on an explicit window the scan never extends, so its curve is the
+    # evolve grid plus the inserted tau* row, cell for cell
+    flags = ["--m", m, "--t-end-kt", "30", *FAST]
+    assert run_cli(tmp_path / "scan", "scan", *flags) == EXIT_OK
+    assert run_cli(tmp_path / "evolve", "evolve", *flags) == EXIT_OK
+
+    def cells(path, *names):
+        header, *rows = path.read_text().splitlines()
+        cols = [header.split(",").index(name) for name in names]
+        return [tuple(row.split(",")[c] for c in cols) for row in rows]
+
+    curve = cells(tmp_path / "scan" / "fig3.csv", "tau_kt", "tau_s", "e_f")
+    grid = cells(tmp_path / "evolve" / "evolve.csv", "time_kt", "time_s", "e_f")
+    assert len(curve) == len(grid) + 1 == 302
+    tau_row = next((i for i, (a, b) in enumerate(zip(curve, grid)) if a != b), len(grid))
+    assert curve[:tau_row] + curve[tau_row + 1:] == grid
 
 
 def test_readme_library_example_runs():

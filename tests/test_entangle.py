@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from spinstar import lindblad
 from spinstar.chain import (
     ChainSpec,
     DisorderSpec,
@@ -29,7 +30,6 @@ from spinstar.lindblad import (
     default_window_s,
     evolve_chain,
     initial_transfer_state,
-    observable_expectation,
 )
 from spinstar.qops import DENSITY_HERMITIAN_TOL, partial_trace, pauli
 
@@ -90,6 +90,15 @@ def pair_state_from_sector(state):
     b, last = state.block11, state.n_sites - 1
     return _pair_states(state.block00, np.trace(b), b[0, 0], b[last, last],
                         state.block01[0], state.block01[last], b[0, last])
+
+
+def sector_grid(prop, state0, t_end, n_samples):
+    """SectorStates at every sample of the on_grid grid, whole blocks
+    read through the identity probes."""
+    n = state0.n_sites
+    times, blocks, _, _ = prop.on_grid(state0.block11, t_end, n_samples, np.eye(n * n))
+    coh = prop.coherences(state0.block01, times)
+    return [SectorState(state0.block00, c, b) for c, b in zip(coh, blocks.reshape(-1, n, n))]
 
 
 def bell_psi_minus():
@@ -175,30 +184,13 @@ def test_pair_state_sector_matches_full():
     noise = NoiseSpec(t2_s=1e-3)
     for m in (2, 3):
         spec = ChainSpec(m_chain=m)
-        full = evolve_chain(spec, noise, method="full", n_samples=21,
-                            rtol=1e-10, atol=1e-14)
-        sect = evolve_chain(spec, noise, method="sector", n_samples=21,
-                            rtol=1e-10, atol=1e-14)
+        full = evolve_chain(spec, noise, n_samples=21, rtol=1e-10, atol=1e-14)
+        prop = SectorPropagator(single_excitation_matrix(build_coupling_graph(spec)), noise)
+        states = sector_grid(prop, initial_transfer_state(spec), default_window_s(spec), 21)
         pf = register_pair_state(full)
-        ps = register_pair_state(sect)
+        ps = [pair_state_from_sector(s) for s in states]
         dev = max(np.abs(a - b).max() for a, b in zip(pf, ps))
         assert dev < 1e-8
-
-
-def test_stacked_readers_equal_the_per_sample_reading():
-    # register_pair_state and the descriptors read every sample at once
-    # from the stacked blocks; reading one SectorState at a time is the
-    # reference, with the same arithmetic, so the two agree exactly
-    for spec in (ChainSpec(m_chain=3), ChainSpec(m_chain=12, lost_sites={4})):
-        traj = evolve_chain(spec, NoiseSpec(t2_s=1e-3), n_samples=51)
-        states = [SectorState(traj.block00, c, b) for c, b in zip(traj.block01, traj.block11)]
-        assert np.array_equal(register_pair_state(traj),
-                              [pair_state_from_sector(s) for s in states])
-        last = traj.n_sites - 1
-        assert np.array_equal(observable_expectation(traj, ("n_exc",)),
-                              [np.trace(s.block11).real for s in states])
-        assert np.array_equal(observable_expectation(traj, ("pop", last)),
-                              [s.block11[last, last].real for s in states])
 
 
 def test_pair_state_spec_mismatch_rejected():
@@ -317,8 +309,7 @@ def test_scan_curve_matches_full_space_oracle(spec, t2):
     n = 101
     result = max_entanglement_scan(spec, noise, n_samples=n)
     window = default_window_s(spec) * (2.0 if result.extended else 1.0)
-    full = evolve_chain(spec, noise, t_end=window, n_samples=n, method="full",
-                        rtol=1e-10, atol=1e-14)
+    full = evolve_chain(spec, noise, t_end=window, n_samples=n, rtol=1e-10, atol=1e-14)
     oracle = np.array([eof(p) for p in register_pair_state(full)])
     grid = np.delete(result.curve_ef,
                      np.searchsorted(result.curve_kt, result.tau_star_kt))
@@ -329,9 +320,11 @@ def test_scan_curve_matches_full_space_oracle(spec, t2):
 def test_sector_propagator_matches_full_space_at_tau_star(m):
     spec, noise = ChainSpec(m_chain=m), NoiseSpec(t2_s=1e-3)
     tau = max_entanglement_scan(spec, noise, n_samples=201).tau_star_s
-    h1 = single_excitation_matrix(build_coupling_graph(spec))
-    state = SectorPropagator(h1, noise).advance(initial_transfer_state(spec), tau)
-    full = evolve_chain(spec, noise, t_end=tau, n_samples=2, method="full",
+    prop = SectorPropagator(single_excitation_matrix(build_coupling_graph(spec)), noise)
+    state0 = initial_transfer_state(spec)
+    state = SectorState(state0.block00, prop.coherences(state0.block01, [tau])[0],
+                        prop.advance(state0.block11, tau))
+    full = evolve_chain(spec, noise, t_end=tau, n_samples=2,
                         rtol=1e-10, atol=1e-14).states[-1]
     assert np.abs(state.to_full() - full).max() < 1e-8
     pair = distributed_pair(spec, noise, n_samples=201)
@@ -378,25 +371,31 @@ def test_refinement_matches_advance_and_wootters(spec, n, t2):
     noise = NoiseSpec(t2_s=t2)
     result = max_entanglement_scan(spec, noise, n_samples=n)
     window = default_window_s(spec) * (2.0 if result.extended else 1.0)
-    traj = evolve_chain(spec, noise, t_end=window, n_samples=n)
-    efs = np.array([eof(p) for p in register_pair_state(traj)])
+    prop = SectorPropagator(single_excitation_matrix(build_coupling_graph(spec)), noise)
+    state0 = initial_transfer_state(spec)
+    times = np.linspace(0.0, window, n)
+    states = sector_grid(prop, state0, window, n)
+    efs = np.array([eof(pair_state_from_sector(s)) for s in states])
     i_max = int(np.argmax(efs))
     k_lo = max(i_max - 1, 0)
-    lo, hi = traj.times_s[k_lo], traj.times_s[min(i_max + 1, n - 1)]
-    prop = SectorPropagator(single_excitation_matrix(build_coupling_graph(spec)), noise)
-    t_max, reach = traj.times_s[i_max], 1.0 / prop.l1_norm
+    lo, hi = times[k_lo], times[min(i_max + 1, n - 1)]
+    t_max, reach = times[i_max], 1.0 / prop.l1_norm
     start, stop = max(lo, t_max - reach), min(hi, t_max + reach)
-    at_lo = SectorState(traj.block00, traj.block01[k_lo], traj.block11[k_lo])
+    at_lo = states[k_lo]
+
+    def state_at(t):
+        return SectorState(at_lo.block00, prop.coherences(state0.block01, [t])[0],
+                           prop.advance(at_lo.block11, t - lo))
 
     def ef_at(t):
-        return eof(pair_state_from_sector(prop.advance(at_lo, t - lo)))
+        return eof(pair_state_from_sector(state_at(t)))
 
     tau, e_star = _golden_max(ef_at, start, stop, ORACLE_TOL_KT / spec.kappa_angular)
     if efs[i_max] >= e_star:
         tau, e_star = t_max, efs[i_max]
     assert abs(result.e_m - e_star) < 1e-12
     assert abs(result.tau_star_kt - spec.kappa_angular * tau) <= 1e-4
-    pair = pair_state_from_sector(prop.advance(at_lo, result.tau_star_s - lo))
+    pair = pair_state_from_sector(state_at(result.tau_star_s))
     assert np.abs(result.pair_state - pair).max() < 1e-12
 
 
@@ -536,16 +535,16 @@ def test_refinement_checks_every_visited_state(monkeypatch):
             max_entanglement_scan(ChainSpec(m_chain=3), NoiseSpec(t2_s=1e-3), n_samples=201)
 
 
-@pytest.mark.parametrize("m_chain, tau_ref", [(1, 9.843826112), (3, 13.828534934)])
-def test_tau_star_matches_a_30_digit_reference(m_chain, tau_ref):
-    # the complex Haken-Strobl generator L on row-major vec(B), in kappa*t
-    # units, at 30 digits: one eigendecomposition makes B[0,last](tau) a
-    # sum of exponentials, and tau* is the root of d|B[0,last]|^2/dtau
-    # next to the scan's
+def reference_tau_star(spec, noise, guess_kt):
+    """(tau*, E_m) at 30 digits, tau* in kappa*t, from the root of
+    d|B[0,last]|^2/dtau next to `guess_kt`.
+
+    The complex Haken-Strobl generator L on row-major vec(B), in kappa*t
+    units: one eigendecomposition makes B[0,last](tau) a sum of
+    exponentials.
+    """
     from mpmath import mp
 
-    spec, noise = ChainSpec(m_chain=m_chain), NoiseSpec(t2_s=1e-3)
-    result = max_entanglement_scan(spec, noise)
     h1 = single_excitation_matrix(build_coupling_graph(spec))
     n = h1.shape[0]
     with mp.workdps(30):
@@ -570,11 +569,42 @@ def test_tau_star_matches_a_30_digit_reference(m_chain, tau_ref):
         def b0l(tau, order=0):
             return mp.fsum(a * r ** order * mp.exp(r * tau) for a, r in zip(amp, rates))
 
-        tau = mp.findroot(lambda t: mp.re(mp.conj(b0l(t)) * b0l(t, 1)),
-                          mp.mpf(result.tau_star_kt))
+        tau = mp.findroot(lambda t: mp.re(mp.conj(b0l(t)) * b0l(t, 1)), mp.mpf(guess_kt))
         c = 2 * abs(b0l(tau))
         p = (1 + mp.sqrt(1 - c * c)) / 2
         e_m = -(p * mp.log(p, 2) + (1 - p) * mp.log(1 - p, 2))
-    assert abs(float(tau) - tau_ref) < 1e-9
-    assert abs(result.tau_star_kt - float(tau)) < 1e-8
-    assert abs(result.e_m - float(e_m)) < 1e-13
+    return float(tau), float(e_m)
+
+
+@pytest.mark.parametrize("m_chain, tau_ref", [(1, 9.843826112), (3, 13.828534934)])
+def test_tau_star_matches_a_30_digit_reference(m_chain, tau_ref):
+    # the default branch (dense at M = 1 and 3) at T2 = 1 ms
+    spec, noise = ChainSpec(m_chain=m_chain), NoiseSpec(t2_s=1e-3)
+    result = max_entanglement_scan(spec, noise)
+    tau, e_m = reference_tau_star(spec, noise, result.tau_star_kt)
+    assert abs(tau - tau_ref) < 1e-9
+    assert abs(result.tau_star_kt - tau) < 1e-8
+    assert abs(result.e_m - e_m) < 1e-13
+
+
+@pytest.mark.parametrize("m_chain, t2, branch, tau_ref", [
+    (1, math.inf, "dense", 9.850796397),
+    (1, 1e-6, "dense", 0.2474932053),
+    (1, math.inf, "chebyshev", 9.850796397),
+    (1, 1e-6, "chebyshev", 0.2474932053),
+    (1, 1e-3, "chebyshev", 9.843826112),
+    (3, 1e-3, "chebyshev", 13.828534934),
+])
+def test_tau_star_reference_across_noise_and_branches(m_chain, t2, branch, tau_ref,
+                                                      monkeypatch):
+    # the Chebyshev branch is forced on the grid and in advance through
+    # the two crossover constants; probe_series is shared by both
+    if branch == "chebyshev":
+        monkeypatch.setattr(lindblad, "DENSE_GRID_MAX", 0)
+        monkeypatch.setattr(lindblad, "DENSE_ADVANCE_MAX", 0)
+    spec, noise = ChainSpec(m_chain=m_chain), NoiseSpec(t2_s=t2)
+    result = max_entanglement_scan(spec, noise)
+    tau, e_m = reference_tau_star(spec, noise, result.tau_star_kt)
+    assert abs(tau - tau_ref) < 1e-9
+    assert abs(result.tau_star_kt - tau) < 1e-8
+    assert abs(result.e_m - e_m) < 1e-13

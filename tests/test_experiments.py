@@ -187,16 +187,23 @@ def _coarse_em(spec, reverse=False):
     # peak e_f on the default grid, optionally injecting from the far
     # register (realized by reversing the site order of the couplings)
     from spinstar.chain import build_coupling_graph, single_excitation_matrix
-    from spinstar.entangle import eof, register_pair_state
-    from spinstar.lindblad import default_window_s, evolve_sector, initial_transfer_state
+    from spinstar.entangle import eof
+    from spinstar.lindblad import (SectorPropagator, SectorState, default_window_s,
+                                   initial_transfer_state)
+    from spinstar.qops import partial_trace
 
     h1 = single_excitation_matrix(build_coupling_graph(spec))
     if reverse:
         h1 = h1[::-1, ::-1]
-    traj = evolve_sector(initial_transfer_state(spec), h1, NOISE,
-                         default_window_s(spec), n_samples=FAST["n_samples"],
-                         kappa_angular=spec.kappa_angular)
-    return max(eof(pair) for pair in register_pair_state(traj))
+    state0 = initial_transfer_state(spec)
+    n = state0.n_sites
+    prop = SectorPropagator(h1, NOISE)
+    # whole blocks through the identity probes, read by partial trace
+    times, blocks, _, _ = prop.on_grid(state0.block11, default_window_s(spec),
+                                       FAST["n_samples"], np.eye(n * n))
+    coh = prop.coherences(state0.block01, times)
+    states = [SectorState(state0.block00, c, b) for c, b in zip(coh, blocks.reshape(-1, n, n))]
+    return max(eof(partial_trace(s.to_full(), (0, n - 1))) for s in states)
 
 
 def test_loss_mirror_covariance():

@@ -11,7 +11,7 @@ from spinstar.chain import (
     build_coupling_graph,
     single_excitation_matrix,
 )
-from spinstar.entangle import eof, max_entanglement_scan, register_pair_state
+from spinstar.entangle import eof, max_entanglement_scan, sector_series
 from spinstar.lindblad import (
     NoiseSpec,
     SectorPropagator,
@@ -20,11 +20,10 @@ from spinstar.lindblad import (
     default_window_s,
     evolve,
     evolve_chain,
-    evolve_sector,
     initial_transfer_state,
-    observable_expectation,
+    site_populations,
 )
-from spinstar.qops import embed, number_operator, pauli
+from spinstar.qops import embed, partial_trace, pauli
 
 
 def ket2dm(psi):
@@ -35,6 +34,20 @@ def lindblad_rhs(rho, h, noise):
     """The right-hand side of the master equation at `rho`."""
     rho = np.asarray(rho, dtype=complex)
     return _master_equation(h, noise, rho.shape)(rho)
+
+
+def sector_grid(spec, noise, t_end=None, n_samples=101, register_state="plus"):
+    """(times, SectorStates) on the grid of SectorPropagator.on_grid: the
+    whole block of every sample read through the identity probes, the
+    vacuum coherences in closed form."""
+    prop = _arm_propagator(spec, noise)
+    state0 = initial_transfer_state(spec, register_state)
+    n = state0.n_sites
+    t_end = default_window_s(spec) if t_end is None else t_end
+    times, blocks, _, _ = prop.on_grid(state0.block11, t_end, n_samples, np.eye(n * n))
+    coh = prop.coherences(state0.block01, times)
+    return times, [SectorState(state0.block00, c, b)
+                   for c, b in zip(coh, blocks.reshape(-1, n, n))]
 
 
 def series_at(table, span, offsets):
@@ -71,7 +84,7 @@ def test_initial_state_sector_form():
     expected = np.zeros((6, 6))
     expected[0, 0] = 0.5
     assert np.allclose(state.block11, expected)
-    state.check()
+    assert state.block00 + np.trace(state.block11).real == 1.0
 
 
 def test_initial_state_excitation_mode():
@@ -144,8 +157,7 @@ def test_single_qubit_coherence_closed_form():
 
 def test_unitary_limit_preserves_purity():
     spec = ChainSpec(m_chain=2)
-    traj = evolve_chain(spec, NoiseSpec(t2_s=math.inf), method="full",
-                        n_samples=51)
+    traj = evolve_chain(spec, NoiseSpec(t2_s=math.inf), n_samples=51)
     for rho in traj.states:
         assert abs(np.trace(rho @ rho).real - 1.0) < 1e-6
 
@@ -154,45 +166,42 @@ def test_sector_matches_full_evolution():
     noise = NoiseSpec(t2_s=1e-3)
     for m, lost in ((2, frozenset()), (3, frozenset()), (3, frozenset({2}))):
         spec = ChainSpec(m_chain=m, lost_sites=lost)
-        full = evolve_chain(spec, noise, method="full", n_samples=41,
-                            rtol=1e-10, atol=1e-14)
-        sect = evolve_chain(spec, noise, method="sector", n_samples=41,
-                            rtol=1e-10, atol=1e-14)
-        dev = max(np.abs(a - SectorState(sect.block00, c, b).to_full()).max()
-                  for a, c, b in zip(full.states, sect.block01, sect.block11))
+        full = evolve_chain(spec, noise, n_samples=41, rtol=1e-10, atol=1e-14)
+        _, states = sector_grid(spec, noise, n_samples=41)
+        dev = max(np.abs(a - s.to_full()).max() for a, s in zip(full.states, states))
         assert dev < 1e-8
 
 
 def test_sector_unitary_block_is_schroedinger():
     # with no noise the one-excitation block evolves as a wavefunction
     spec = ChainSpec(m_chain=2)
-    graph = build_coupling_graph(spec)
-    h1 = single_excitation_matrix(graph)
-    state0 = initial_transfer_state(spec, register_state="one")
-    traj = evolve_sector(state0, graph, NoiseSpec(t2_s=math.inf),
-                         t_end=default_window_s(spec), n_samples=21)
+    h1 = single_excitation_matrix(build_coupling_graph(spec))
+    times, states = sector_grid(spec, NoiseSpec(t2_s=math.inf), n_samples=21,
+                                register_state="one")
     w, v = np.linalg.eigh(h1)
     c0 = np.zeros(4, dtype=complex)
     c0[0] = 1.0
-    for t, b in zip(traj.times_s, traj.block11):
+    for t, state in zip(times, states):
         c = (v * np.exp(-1j * w * t)) @ (v.conj().T @ c0)
-        assert np.abs(b - np.outer(c, c.conj())).max() < 1e-7
+        assert np.abs(state.block11 - np.outer(c, c.conj())).max() < 1e-7
 
 
 def test_long_chain_sector_run():
     spec = ChainSpec(m_chain=20)
     noise = NoiseSpec(t2_s=1e-3)
-    traj = evolve_chain(spec, noise, n_samples=101)
-    assert traj.n_sites == 22
-    for c, b in zip(traj.block01[:: 20], traj.block11[:: 20]):
-        SectorState(traj.block00, c, b).check(tol=1e-6)
+    times, states = sector_grid(spec, noise, n_samples=101)
+    assert states[0].n_sites == 22
+    for state in states[:: 20]:
+        b = state.block11
+        assert abs(state.block00 + np.trace(b).real - 1.0) < 1e-6
+        assert np.abs(b - b.conj().T).max() < 1e-6
+        assert np.linalg.eigvalsh(b).min() > -1e-6
     # the strided grid agrees with one exact step from t = 0
-    prop = SectorPropagator(single_excitation_matrix(build_coupling_graph(spec)), noise)
+    prop = _arm_propagator(spec, noise)
     state0 = initial_transfer_state(spec)
     for k in (7, 58, 100):
-        direct = prop.advance(state0, traj.times_s[k])
-        assert np.abs(traj.block11[k] - direct.block11).max() < 1e-12
-        assert np.abs(traj.block01[k] - direct.block01).max() < 1e-12
+        direct = prop.advance(state0.block11, times[k])
+        assert np.abs(states[k].block11 - direct).max() < 1e-12
 
 
 @pytest.mark.parametrize("t2", [math.inf, 1e-3])
@@ -201,14 +210,16 @@ def test_long_chain_sector_run():
     ChainSpec(m_chain=5, disorder=DisorderSpec(variance_nm2=0.25, seed=3)),
 ], ids=["lossy", "disordered"])
 def test_sector_trajectory_matches_scan_grid(spec, t2):
-    # evolve_sector carries whole blocks where the scan carries four
-    # probe rows; both read the same grid of exact states
+    # the scan carries four probe rows; the whole blocks of the same grid,
+    # read through the identity probes and the general Wootters
+    # concurrence, give the same E_F
     noise = NoiseSpec(t2_s=t2)
     n = 401
     result = max_entanglement_scan(spec, noise, n_samples=n)
     window = default_window_s(spec) * (2.0 if result.extended else 1.0)
-    traj = evolve_chain(spec, noise, t_end=window, n_samples=n)
-    e_f = np.array([eof(p) for p in register_pair_state(traj)])
+    _, states = sector_grid(spec, noise, t_end=window, n_samples=n)
+    last = spec.n_sites - 1
+    e_f = np.array([eof(partial_trace(s.to_full(), (0, last))) for s in states])
     grid = np.delete(result.curve_ef,
                      np.searchsorted(result.curve_kt, result.tau_star_kt))
     assert np.abs(grid - e_f).max() < 1e-12
@@ -293,16 +304,16 @@ def test_dense_branch_matches_expm_multiply(spec, t2, monkeypatch):
     n = state0.n_sites
     window = default_window_s(spec)
     probes = np.random.default_rng(spec.m_chain).normal(size=(n * n, 3))
-    for kwargs in ({}, {"probes": probes}):
-        t_d, v_d, k_d, cols_d = dense.on_grid(state0.block11, window, 201, **kwargs)
-        t_s, v_s, k_s, cols_s = sparse.on_grid(state0.block11, window, 201, **kwargs)
+    # the identity probes read whole blocks
+    for rows in (np.eye(n * n), probes):
+        t_d, v_d, k_d, cols_d = dense.on_grid(state0.block11, window, 201, rows)
+        t_s, v_s, k_s, cols_s = sparse.on_grid(state0.block11, window, 201, rows)
         assert np.array_equal(t_d, t_s) and k_d == k_s
         assert np.abs(v_d - v_s).max() < 1e-12 * max(1.0, np.abs(v_s).max())
         assert np.abs(cols_d - cols_s).max() < 1e-12
     for t in (0.0, window / 200, 0.37 * window):
-        a, b = dense.advance(state0, t), sparse.advance(state0, t)
-        assert np.abs(a.block11 - b.block11).max() < 1e-12
-        assert np.abs(a.block01 - b.block01).max() < 1e-12
+        a, b = dense.advance(state0.block11, t), sparse.advance(state0.block11, t)
+        assert np.abs(a - b).max() < 1e-12
 
 
 def test_dense_branch_matches_full_space_on_random_arms():
@@ -321,14 +332,15 @@ def test_dense_branch_matches_full_space_on_random_arms():
         prop = _arm_propagator(spec, noise)
         assert prop.dense_grid and prop.dense_advance
         kwargs = dict(n_samples=21, register_state=register)
-        full = evolve_chain(spec, noise, method="full", rtol=1e-10, atol=1e-14, **kwargs)
-        sect = evolve_chain(spec, noise, method="sector", **kwargs)
-        dev = max(np.abs(a - SectorState(sect.block00, c, b).to_full()).max()
-                  for a, c, b in zip(full.states, sect.block01, sect.block11))
+        full = evolve_chain(spec, noise, rtol=1e-10, atol=1e-14, **kwargs)
+        _, states = sector_grid(spec, noise, **kwargs)
+        dev = max(np.abs(a - s.to_full()).max() for a, s in zip(full.states, states))
         assert dev < 1e-8, (spec, t2, register)
         k = int(rng.integers(1, 21))
         state0 = initial_transfer_state(spec, register)
-        direct = prop.advance(state0, full.times_s[k]).to_full()
+        t = full.times_s[k]
+        direct = SectorState(state0.block00, prop.coherences(state0.block01, [t])[0],
+                             prop.advance(state0.block11, t)).to_full()
         assert np.abs(direct - full.states[k]).max() < 1e-8, (spec, t2, register)
 
 
@@ -354,17 +366,16 @@ def test_probe_series_matches_advance(spec, t2, limit, monkeypatch):
     prop = _arm_propagator(spec, noise)
     assert prop.dense_grid == (limit > 0)
     window = default_window_s(spec)
-    start = prop.advance(initial_transfer_state(spec), 0.3 * window)
-    n = start.n_sites
+    start = prop.advance(initial_transfer_state(spec).block11, 0.3 * window)
+    n = start.shape[0]
     rng = np.random.default_rng(spec.m_chain)
     probes = rng.normal(size=(n * n, 4))
     for span, several in ((window / 1000, False), (window / 20, True), (window, True)):
-        table = prop.probe_series(start.block11, span, probes)
+        table = prop.probe_series(start, span, probes)
         assert (len(table) > 1) == several
         assert table.shape[1:] == (lindblad.SERIES_DEGREE + 1, 4)
         offsets = np.concatenate([[0.0, span], rng.uniform(0.0, span, 8)])
-        want = np.array([probes.T @ prop.advance(start, t).block11.ravel()
-                         for t in offsets])
+        want = np.array([probes.T @ prop.advance(start, t).ravel() for t in offsets])
         got = series_at(table, span, offsets)
         assert np.abs(got - want).max() < 1e-12 * max(1.0, np.abs(want).max())
 
@@ -469,7 +480,7 @@ def test_chebyshev_recurrence_of_either_sign(t2, sign):
     window = default_window_s(spec)
     assert prop._chebyshev(window, np.ones(1))[1] == sign
     state0 = initial_transfer_state(spec)
-    got = prop.advance(state0, window).block11.ravel()
+    got = prop.advance(state0.block11, window).ravel()
     want = expm(_complex_liouvillian(spec, noise).toarray() * window) @ state0.block11.ravel()
     assert _close(got, want)
 
@@ -479,10 +490,6 @@ def test_propagator_rejects_a_non_hermitian_problem():
     for bad in (h1 * 1j, h1 + np.triu(h1)):
         with pytest.raises(ValueError):
             SectorPropagator(bad, NoiseSpec())
-    state = initial_transfer_state(ChainSpec(m_chain=2))
-    state.block11[0, 1] = 0.1
-    with pytest.raises(ValueError):
-        state.check()
 
 
 @pytest.mark.parametrize("spec, t2", CHEBYSHEV_CASES,
@@ -490,8 +497,9 @@ def test_propagator_rejects_a_non_hermitian_problem():
                          f"m{v.m_chain}-lost{len(v.lost_sites)}-dis{int(v.disorder is not None)}")
 def test_chebyshev_branch_matches_dense_expm(spec, t2):
     # the sparse branch against dense scipy.linalg.expm of L: on_grid with
-    # probe rows and with blocks on 2, 201 and 2001 samples of the default
-    # window and 21 samples of five windows, advance, and probe_series.
+    # probe rows on 2, 201 and 2001 samples of the default window and 21
+    # samples of five windows, with the identity probes (whole blocks) on
+    # 201, advance, and probe_series.
     # Rounding adds up over the pieces: at T2 = 0.1 us five windows are
     # about 1e4 e-folds of the coherences, some 1600 pieces, and the error
     # there reaches 1.5e-12, so that grid runs down to T2 = 1 us
@@ -521,14 +529,14 @@ def test_chebyshev_branch_matches_dense_expm(spec, t2):
         i = len(cols) - 1
         assert _close(cols[i].ravel(), expm(liouvillian * (i * k * times[1])) @ b0)
         if n_samples == 201:
-            _, blocks, _, _ = prop.on_grid(state0.block11, t_end, n_samples)
-            assert _close(blocks[picks].reshape(len(picks), -1), want)
-    start = prop.advance(state0, 0.3 * window)
-    b_start = start.block11.ravel()
+            _, blocks, _, _ = prop.on_grid(state0.block11, t_end, n_samples, np.eye(n * n))
+            assert _close(blocks[picks], want)
+    start = prop.advance(state0.block11, 0.3 * window)
+    b_start = start.ravel()
     assert _close(b_start, expm(liouvillian * (0.3 * window)) @ b0)
     for t in (0.0, window / 2000, 2 * window):
-        assert _close(prop.advance(start, t).block11.ravel(), expm(liouvillian * t) @ b_start)
-    table = prop.probe_series(start.block11, window / 10, probes)
+        assert _close(prop.advance(start, t).ravel(), expm(liouvillian * t) @ b_start)
+    table = prop.probe_series(start, window / 10, probes)
     offsets = np.concatenate([[window / 10], rng.uniform(0.0, window / 10, 3)])
     want = np.array([expm(liouvillian * t) @ b_start for t in offsets])
     assert _close(series_at(table, window / 10, offsets), want @ probes)
@@ -546,13 +554,14 @@ def test_chebyshev_pieces_stay_short_on_long_windows():
     noise = NoiseSpec(t2_s=math.inf)
     prop = _arm_propagator(spec, noise)
     state0 = initial_transfer_state(spec)
+    n = state0.n_sites
     t_end = 100 * default_window_s(spec)
     tracemalloc.start()
-    _, blocks, _, _ = prop.on_grid(state0.block11, t_end, 2)
+    _, blocks, _, _ = prop.on_grid(state0.block11, t_end, 2, np.eye(n * n))
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert peak < 10e6
-    assert _close(blocks[-1].ravel(),
+    assert _close(blocks[-1],
                   expm(_complex_liouvillian(spec, noise).toarray() * t_end)
                   @ state0.block11.ravel())
 
@@ -575,19 +584,18 @@ def test_chebyshev_branch_matches_expm_multiply_at_m31():
     liouvillian = _complex_liouvillian(spec, noise)
     want = np.array([expm_multiply(liouvillian * times[i], b0) for i in picks])
     assert _close(readings[picks], want @ probes)
-    assert _close(prop.advance(state0, times[700]).block11.ravel(), want[1])
+    assert _close(prop.advance(state0.block11, times[700]).ravel(), want[1])
 
 
 def test_excitation_number_is_flat():
     spec = ChainSpec(m_chain=3)
-    traj = evolve_chain(spec, NoiseSpec(t2_s=1e-3), n_samples=101)
-    n_exc = observable_expectation(traj, ("n_exc",))
+    _, _, _, n_exc, _ = sector_series(spec, NoiseSpec(t2_s=1e-3), n_samples=101)
     assert np.abs(n_exc - 0.5).max() < 1e-6
 
 
 def test_density_invariants_along_trajectory():
     spec = ChainSpec(m_chain=3)
-    traj = evolve_chain(spec, NoiseSpec(t2_s=1e-3), method="full", n_samples=51)
+    traj = evolve_chain(spec, NoiseSpec(t2_s=1e-3), n_samples=51)
     for rho in traj.states[::10]:
         assert abs(np.trace(rho).real - 1.0) < 1e-6
         assert np.abs(rho - rho.conj().T).max() < 1e-8
@@ -602,44 +610,25 @@ def test_self_convergence_when_tolerance_tightens():
     # times the error it would on the (n+1)^2 sector entries alone
     spec = ChainSpec(m_chain=2)
     noise = NoiseSpec(t2_s=1e-3)
-    loose = evolve_chain(spec, noise, n_samples=21, method="full",
-                         rtol=1e-8, atol=1e-12)
-    tight = evolve_chain(spec, noise, n_samples=21, method="full",
-                         rtol=5e-9, atol=1e-12)
+    loose = evolve_chain(spec, noise, n_samples=21, rtol=1e-8, atol=1e-12)
+    tight = evolve_chain(spec, noise, n_samples=21, rtol=5e-9, atol=1e-12)
     dev = max(np.abs(a - b).max() for a, b in zip(loose.states, tight.states))
     n = spec.n_sites
     assert dev < 2e-8 * math.sqrt(4 ** n / (n + 1) ** 2)
 
 
-def test_observable_expectation_descriptors():
+def test_site_populations_match_dense_operators():
+    # the populations read from the diagonal of the states against
+    # Tr(rho |1><1|_i); they sum to the excitation number
     spec = ChainSpec(m_chain=3)
     traj = evolve_chain(spec, NoiseSpec(t2_s=1e-3), n_samples=11)
-    ident = observable_expectation(traj, "identity")
-    assert np.abs(ident - 1.0).max() < 1e-8
-    assert abs(observable_expectation(traj, ("n_exc",))[0] - 0.5) < 1e-12
-    # register M+1 starts in |0>, i.e. sigma_z expectation +1
-    assert abs(observable_expectation(traj, ("sz", 4))[0] - 1.0) < 1e-12
-    # dense operator route agrees with the descriptor route
-    dense = observable_expectation(traj, embed(pauli("z"), 4, 5))
-    assert np.abs(dense - observable_expectation(traj, ("sz", 4))).max() < 1e-9
-
-
-@pytest.mark.parametrize("method", ["sector", "full"])
-def test_descriptor_site_out_of_range(method):
-    # both kinds reject a site outside 0..n-1 or a missing one alike; the
-    # sector path once read ("pop", -1) as the last site
-    traj = evolve_chain(ChainSpec(m_chain=1), NoiseSpec(t2_s=1e-3), n_samples=5,
-                        method=method)
-    for desc in (("pop", -1), ("pop", 3), ("sz", 3), ("sz",), ("pop",), ("pop", 1.0),
-                 ("bogus", 0)):
-        with pytest.raises(ValueError):
-            observable_expectation(traj, desc)
-
-
-def test_observable_dimension_mismatch():
-    traj = evolve_chain(ChainSpec(m_chain=2), NoiseSpec(t2_s=1e-3), n_samples=5)
-    with pytest.raises(ValueError):
-        observable_expectation(traj, np.eye(8))
+    pops = site_populations(traj)
+    excited = np.diag([0.0, 1.0])
+    for site in range(5):
+        dense = np.trace(traj.states @ embed(excited, site, 5), axis1=1, axis2=2)
+        assert np.abs(pops[:, site] - dense.real).max() < 1e-15
+    assert np.abs(pops.sum(axis=1) - 0.5).max() < 1e-8
+    assert abs(pops[0, 0] - 0.5) < 1e-15 and np.abs(pops[0, 1:]).max() < 1e-15
 
 
 def test_trajectory_time_axes():
@@ -659,7 +648,6 @@ def test_evolve_rejects_bad_inputs():
                NoiseSpec(t2_s=1e-3), t_end=-1.0)
     with pytest.raises(ValueError):
         lindblad_rhs(np.eye(2) / 2, np.zeros((4, 4)), NoiseSpec(t2_s=1e-3))
-    for method in ("full", "sector"):
+    for path in (evolve_chain, sector_series):
         with pytest.raises(ValueError):
-            evolve_chain(ChainSpec(m_chain=2), NoiseSpec(t2_s=1e-3),
-                         n_samples=1, method=method)
+            path(ChainSpec(m_chain=2), NoiseSpec(t2_s=1e-3), n_samples=1)

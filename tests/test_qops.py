@@ -7,7 +7,6 @@ from spinstar.qops import (
     assert_density,
     embed,
     n_qubits,
-    number_operator,
     partial_trace,
     pauli,
 )
@@ -48,6 +47,12 @@ def project_measure(rho, site, outcome, eps=1e-12):
     if prob < eps:
         raise MeasurementError(f"outcome {outcome} on site {site} is impossible (p={prob:.3e})")
     return prob, proj @ rho @ proj / prob
+
+
+def number_operator(n_sites):
+    """Total excitation number, summed from embedded site occupations."""
+    excited = np.array([[0, 0], [0, 1]], dtype=complex)
+    return sum(embed(excited, site, n_sites) for site in range(n_sites))
 
 
 def test_pauli_matrices():

@@ -1,13 +1,10 @@
 import numpy as np
 import pytest
 
-from spinstar.qops import LOWER, RAISE, embed, number_operator
+from spinstar.qops import LOWER, RAISE, embed, pauli
 from spinstar.star import (
-    CollectiveState,
     StarSpec,
     build_star_hamiltonian,
-    collective_ops,
-    collective_state,
     dicke_state,
     ground_states,
     multiplet_multiplicities,
@@ -23,6 +20,33 @@ def ground_energy(spec):
     if n % 2 == 1:
         return -lam * (n + 1) / 2
     return -lam * np.sqrt((n / 2) * (n / 2 + 1))
+
+
+def collective_ops(n):
+    """Total-spin operators of n spin-1/2 sites (J_z eigenvalue m on |j,m>)."""
+    dim = 2 ** n
+    jp = np.zeros((dim, dim), dtype=complex)
+    jz = np.zeros((dim, dim), dtype=complex)
+    half_z = np.array([[-0.5, 0], [0, 0.5]], dtype=complex)  # +1/2 on |1>
+    for site in range(n):
+        jp += embed(RAISE, site, n)
+        jz += embed(half_z, site, n)
+    jm = jp.conj().T
+    jx = (jp + jm) / 2
+    jy = (jp - jm) / (2j)
+    return {"jx": jx, "jy": jy, "jz": jz, "j2": jx @ jx + jy @ jy + jz @ jz}
+
+
+def label_residuals(psi, j, m):
+    """||J^2 psi - j(j+1) psi|| and ||J_z psi - m psi||."""
+    ops = collective_ops(int(np.log2(len(psi)) + 0.5))
+    return (np.linalg.norm(ops["j2"] @ psi - j * (j + 1) * psi),
+            np.linalg.norm(ops["jz"] @ psi - m * psi))
+
+
+def number_operator(n_sites):
+    """Total excitation number: the count of sites in |1>."""
+    return np.diag([bin(i).count("1") for i in range(2 ** n_sites)]).astype(complex)
 
 
 def spectrum_values(spec):
@@ -47,24 +71,38 @@ def test_hamiltonian_is_hermitian():
     assert np.abs(h - h.conj().T).max() < 1e-12
 
 
+def _xy_products(spec):
+    """lambda * sum_i (X_0 X_i + Y_0 Y_i), the x/y form of the star."""
+    sites = spec.n_outer + 1
+    out = np.zeros((2 ** sites, 2 ** sites), dtype=complex)
+    for outer in range(1, sites):
+        for kind in ("x", "y"):
+            out += embed(pauli(kind), 0, sites) @ embed(pauli(kind), outer, sites)
+    return spec.coupling * out
+
+
 def test_xy_form_is_twice_the_ladder_form():
+    # lambda (s0x Jx + s0y Jy) with Pauli s is twice the flip-flop operator
     spec = StarSpec(3, 1.3)
-    assert np.allclose(build_star_hamiltonian(spec, form="xy"),
-                       2 * build_star_hamiltonian(spec, form="ladder"))
+    assert np.allclose(_xy_products(spec), 2 * build_star_hamiltonian(spec))
 
 
 @pytest.mark.parametrize("form", ["ladder", "xy"])
 def test_index_construction_matches_operator_products(form):
-    # the flip-flop sum built from embedded single-site ladder operators
+    # the flip-flop sum built from embedded single-site ladder operators,
+    # or half the x/y product sum
     for n in range(1, 8):
         spec = StarSpec(n, 1.7)
         sites = n + 1
-        product = np.zeros((2 ** sites, 2 ** sites), dtype=complex)
-        for outer in range(1, sites):
-            term = embed(RAISE, 0, sites) @ embed(LOWER, outer, sites)
-            product += term + term.conj().T
-        product *= spec.coupling * (2.0 if form == "xy" else 1.0)
-        assert np.array_equal(build_star_hamiltonian(spec, form), product), n
+        if form == "xy":
+            product = _xy_products(spec) / 2
+        else:
+            product = np.zeros((2 ** sites, 2 ** sites), dtype=complex)
+            for outer in range(1, sites):
+                term = embed(RAISE, 0, sites) @ embed(LOWER, outer, sites)
+                product += term + term.conj().T
+            product *= spec.coupling
+        assert np.array_equal(build_star_hamiltonian(spec), product), n
 
 
 def test_analytic_level_examples():
@@ -171,12 +209,12 @@ def test_dicke_state_range_check():
 
 
 def test_collective_state_labels():
-    state = collective_state(4, 1.0)
-    assert state.j == 2.0
-    state.check(tol=1e-10)
-    bad = CollectiveState(j=2.0, m=0.0, amplitudes=dicke_state(4, 3))
-    with pytest.raises(ValueError):
-        bad.check()
+    # the Dicke state with k excitations is |j = n/2, m = k - n/2>
+    assert max(label_residuals(dicke_state(4, 3), 2.0, 1.0)) < 1e-10
+    assert label_residuals(dicke_state(4, 3), 2.0, 0.0)[1] > 0.5
+    for n in (1, 2, 3, 5):
+        for k in range(n + 1):
+            assert max(label_residuals(dicke_state(n, k), n / 2, k - n / 2)) < 1e-10
 
 
 def test_collective_ops_algebra():
