@@ -205,26 +205,7 @@ def build_coupling_graph(spec: ChainSpec, geometry: Geometry | None = None) -> C
                 continue
             d = geom.positions_nm[alive[b]] - geom.positions_nm[alive[a]]
             edges.append((a, b, coupling_from_distance(d, spec)))
-    graph = CouplingGraph(n_sites=n, site_ids=alive, edges=tuple(edges))
-    _assert_connected(graph)
-    return graph
-
-
-def _assert_connected(graph: CouplingGraph) -> None:
-    seen = {0}
-    frontier = [0]
-    adj: dict[int, list[int]] = {i: [] for i in range(graph.n_sites)}
-    for a, b, _ in graph.edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    while frontier:
-        cur = frontier.pop()
-        for nxt in adj[cur]:
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    if len(seen) != graph.n_sites:
-        raise GeometryError("coupling graph is disconnected")
+    return CouplingGraph(n_sites=n, site_ids=alive, edges=tuple(edges))
 
 
 def single_excitation_matrix(graph: CouplingGraph) -> np.ndarray:

@@ -29,10 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import expm
-from scipy.sparse import _sparsetools
-from scipy.special import ive, jv
 
 from .chain import ChainSpec
 from .qops import assert_density, n_qubits
@@ -227,26 +223,29 @@ def evolve(
 # Crossovers of SectorPropagator's dense branch, in n^2, the size of the
 # generator L_R of an n-site arm.  Measured with one BLAS thread on a
 # 2-vCPU Xeon VM (numpy 2.4, scipy 1.17), default arms at T2 = 1 ms,
-# medians; on_grid over 2001 samples of the default window with the
-# scan's probe rows; advance by two grid steps; peak memory as traced by
-# tracemalloc over one on_grid.  The sparse columns are the Chebyshev
-# branch:
+# medians of six runs; on_grid over 2001 samples of the default window
+# with the scan's probe rows; advance by two grid steps; peak memory as
+# traced by tracemalloc over one on_grid.  The sparse columns are the
+# Chebyshev branch, the dense ones _expm:
 #
 #   M   n^2 |  on_grid, ms  | advance, ms  | peak, MB
 #           | sparse  dense | sparse dense | sparse dense
-#   3    25 |   5.3    0.4  |  0.32  0.06  |  0.20  0.31
-#   5    49 |   6.0    0.7  |  0.29  0.16  |  0.23  0.47
-#   7    81 |   9.6    1.6  |  0.47  0.54  |  0.27  0.70
-#   9   121 |  11.5    4.4  |  0.50  1.13  |  0.33  1.01
-#  11   169 |  13.0    7.2  |  0.49  3.28  |  0.40  2.09
-#  13   225 |  14.6   18.4  |  0.49  6.32  |  0.47  3.68
-#  15   289 |  13.6   30.6  |  0.29  12.2  |  0.55  6.05
+#   3    25 |   7.0    0.5  |  0.33  0.06  |  0.20  0.30
+#   5    49 |   9.3    0.6  |  0.36  0.09  |  0.23  0.45
+#   7    81 |  10.8    1.4  |  0.35  0.26  |  0.27  0.76
+#   9   121 |  11.9    4.2  |  0.33  1.41  |  0.33  1.55
+#  11   169 |  10.1    8.7  |  0.33  3.36  |  0.40  3.00
+#  13   225 |  13.6   17.1  |  0.33  7.50  |  0.47  4.89
+#  15   289 |  14.3   37.0  |  0.28  10.3  |  0.55  8.72
 #
-# advance carries one block per call (a scan calls it once, to the start
-# of its refinement), so its dense exponential pays only while it costs
-# less than one Chebyshev carry: n^2 <= 49.  On the grid the two branches
+# The host's speed drifts by up to 2x between runs.  advance carries one
+# block per call (a scan calls it once, to the start of its refinement),
+# so its dense exponential pays only while it costs clearly less than
+# one Chebyshev carry: n^2 <= 49.  At n^2 = 81 the two lie within that
+# drift of each other (0.18-0.30 against 0.20-0.45 ms), at most 0.2 ms of
+# a 10 ms scan, so the crossover stays.  On the grid the two branches
 # meet between n^2 = 169 and 225; past that the dense working set also
-# grows as n^4 (expm holds several n^2 x n^2 arrays).
+# grows as n^4 (_expm holds q + 1 + r <= 10 n^2 x n^2 arrays).
 DENSE_GRID_MAX = 169
 DENSE_ADVANCE_MAX = 49
 
@@ -255,6 +254,61 @@ DENSE_ADVANCE_MAX = 49
 # relative to ||vec R||_1, so the series is exact in double precision.
 SERIES_DEGREE = 18
 _INV_FACTORIALS = 1.0 / np.array([math.factorial(k) for k in range(SERIES_DEGREE + 1)])
+# _THETA[m - 1]: the largest ||A||_1 at which the first term dropped from
+# the degree-m series of exp(A) - I, ||A||^(m+1)/(m+1)!, stays below
+# 2^-53 ||A||
+_THETA = np.array([(2.0 ** -53 * math.factorial(m + 1)) ** (1.0 / m)
+                   for m in range(1, SERIES_DEGREE + 1)])
+
+
+def _taylor_blocks(degree: int) -> np.ndarray:
+    """Paterson-Stockmeyer table of the degree-`degree` series of exp(A) - I:
+    row j holds the coefficients of A^(jq) .. A^(jq + q), q = ceil(sqrt
+    degree), the last column zero except in the last row."""
+    q = math.isqrt(degree - 1) + 1
+    r = -(-degree // q)
+    coef = np.zeros(r * q + 1)
+    coef[1:degree + 1] = _INV_FACTORIALS[1:degree + 1]
+    table = np.zeros((r, q + 1))
+    table[:, :q] = coef[:-1].reshape(r, q)
+    table[-1, q] = coef[-1]
+    return table
+
+
+_TAYLOR_BLOCKS = [_taylor_blocks(m) for m in range(1, SERIES_DEGREE + 1)]
+
+
+def _expm(l: np.ndarray, t: float, l1_norm: float) -> np.ndarray:
+    """exp(l t) of a real square `l` with ||l||_1 = `l1_norm`, by scaling and
+    squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 1179, 2005).
+
+    A = l t 2^-s has ||A||_1 <= 1, where the Taylor series of
+    N = exp(A) - I to the degree from _THETA (at most SERIES_DEGREE) is
+    exact in double precision.  Paterson-Stockmeyer sums it from the
+    stacked powers I, A, .., A^q, every block in one product.  The s
+    squarings take N <- N N + 2 N = (I + N)^2 - I, so the identity enters
+    only the result: squaring I + N itself would round away the part of
+    N below eps on the diagonal, s times over, and with it the trace that
+    the Haken-Strobl dynamics conserve exactly.
+    """
+    norm = l1_norm * abs(t)
+    squarings = math.frexp(norm)[1] if norm > 1.0 else 0
+    table = _TAYLOR_BLOCKS[int(np.searchsorted(_THETA, math.ldexp(norm, -squarings)))]
+    r, q = table.shape[0], table.shape[1] - 1
+    n = l.shape[0]
+    powers = np.empty((q + 1, n, n))
+    powers[0] = np.eye(n)
+    np.multiply(l, math.ldexp(t, -squarings), out=powers[1])
+    for j in range(2, q + 1):
+        np.matmul(powers[j - 1], powers[1], out=powers[j])
+    sums = (table @ powers.reshape(q + 1, -1)).reshape(r, n, n)
+    out = sums[-1]
+    for j in range(r - 2, -1, -1):
+        out = powers[q] @ out + sums[j]
+    for _ in range(squarings):
+        out = out @ out + 2.0 * out
+    out.flat[::n + 1] += 1.0
+    return out
 
 
 def _transpose_index(n: int) -> np.ndarray:
@@ -332,11 +386,25 @@ def _join(readings: np.ndarray) -> np.ndarray:
 #   the double range.
 #
 # Among the piece counts that meet both, the one with the fewest products
-# L_R @ v is taken.  Errors add over pieces: against dense expm they stay
-# below 1e-12 relative over five default windows down to T2 = 1 us, and
-# over one window down to T2 = 0.1 us (tests/test_lindblad.py).
+# L_R @ v is taken.  Errors add over pieces: against scipy's dense expm
+# they stay below 1e-12 relative over five default windows down to
+# T2 = 1 us, and over one window down to T2 = 0.1 us
+# (tests/test_lindblad.py).
 CHEB_GROWTH_MAX = 32.0
 CHEB_DECAY_MAX = 64.0
+
+# Only the Chebyshev branch uses scipy, and importing it costs a fresh
+# process more than a short scan: the first propagator to take the branch
+# binds these names (_bind_scipy), once.
+sp = _sparsetools = ive = jv = None
+
+
+def _bind_scipy() -> None:
+    global sp, _sparsetools, ive, jv
+    if sp is None:
+        import scipy.sparse as sp
+        from scipy.sparse import _sparsetools
+        from scipy.special import ive, jv
 
 
 def _ellipse(width: float, gamma: float, h: float) -> tuple:
@@ -396,13 +464,13 @@ def _chebyshev_piece(width: float, gamma: float, h: float, fractions: np.ndarray
         order += order // 2
 
 
-def _add_matvec(a: sp.csr_matrix, v: np.ndarray, out: np.ndarray) -> None:
+def _add_matvec(a, v: np.ndarray, out: np.ndarray) -> None:
     """out += a @ v for CSR `a` and contiguous float vectors, in one call
     of scipy's compiled kernel, without the dispatch of ``a @ v``."""
     _sparsetools.csr_matvec(a.shape[0], a.shape[1], a.indptr, a.indices, a.data, v, out)
 
 
-def _chebyshev_terms(y: sp.csr_matrix, y2: sp.csr_matrix, sign: float, v: np.ndarray,
+def _chebyshev_terms(y, y2, sign: float, v: np.ndarray,
                      count: int) -> np.ndarray:
     """Terms 0 .. count-1 of the recurrence u_0 = v, u_1 = Y v,
     u_{k+1} = 2Y u_k + sign u_{k-1}, stacked along a new first axis;
@@ -443,8 +511,8 @@ class SectorPropagator:
     Pi the transpose permutation, in `liouvillian`.  Blocks go in and
     come out Hermitian; only the propagation is real.
 
-    Short arms hold ``L_R`` dense and take dense exponentials (scaling and
-    squaring, Higham 2005): on the grid while n^2 <= DENSE_GRID_MAX
+    Short arms hold ``L_R`` dense and take dense exponentials
+    (:func:`_expm`): on the grid while n^2 <= DENSE_GRID_MAX
     (`dense_grid`), in :meth:`advance` while n^2 <= DENSE_ADVANCE_MAX
     (`dense_advance`).  Otherwise ``L_R`` is sparse (CSR) and vec(R) is
     carried piece by piece by a Chebyshev series of ``exp(L_R t)``
@@ -469,6 +537,8 @@ class SectorPropagator:
         # row-major vec: vec(h R) = (h x I) vec(R), vec(R h) = (I x h^T) vec(R),
         # vec(R^T) = vec(R)[t]
         t = _transpose_index(n)
+        if not self.dense_advance:
+            _bind_scipy()
         if self.dense_grid:
             eye = np.eye(n)
             self.liouvillian = ((np.kron(eye, h1.T) - np.kron(h1, eye))[:, t]
@@ -539,7 +609,7 @@ class SectorPropagator:
     def _carry(self, vec: np.ndarray, t: float) -> np.ndarray:
         """vec(R) evolved by `t` seconds."""
         if self.dense_advance:
-            return expm(self.liouvillian * t) @ vec
+            return _expm(self.liouvillian, t, self.l1_norm) @ vec
         if t == 0:
             return vec.copy()
         r, sign, y, y2, coef = self._chebyshev(t, np.ones(1))
@@ -584,11 +654,11 @@ class SectorPropagator:
 
         With grid step dt and stride K = isqrt(n_samples - 1) + 1, sample
         iK + j is exp(L_R j dt) exp(L_R iK dt) vec(R0).  On the dense
-        branch vec(R0) is carried over the long strides iK dt by repeated
-        products with P_K = expm(L_R K dt), and the 2p real rows of
-        :func:`_real_probes` over the short strides j dt by products with
-        P_1^T = expm(L_R dt)^T, exp(L_R^T j dt) r, so the readings come out
-        of one product.  On the sparse branch vec(R0) is carried over
+        branch (:func:`_expm`) vec(R0) is carried over the long strides
+        iK dt by repeated products with P_K = exp(L_R K dt), and the 2p
+        real rows of :func:`_real_probes` over the short strides j dt by
+        products with P_1^T = exp(L_R dt)^T, exp(L_R^T j dt) r, so the
+        readings come out of one product.  On the sparse branch vec(R0) is carried over
         pieces of K dt / r by the Chebyshev series, whose one table of
         coefficients gives every sample in a piece.
 
@@ -605,9 +675,9 @@ class SectorPropagator:
         if not self.dense_grid:
             values, cols = self._chebyshev_grid(vec, k, dt, n_long, n_samples, rows)
         else:
-            cols = _powers(expm(self.liouvillian * (k * dt)), vec, n_long)
+            cols = _powers(_expm(self.liouvillian, k * dt, self.l1_norm), vec, n_long)
             width = rows.shape[1]
-            carried = _powers(expm(self.liouvillian * dt).T, rows, k)
+            carried = _powers(_expm(self.liouvillian, dt, self.l1_norm).T, rows, k)
             values = ((cols @ carried.transpose(1, 0, 2).reshape(n * n, k * width))
                       .reshape(-1, width)[:n_samples])
         return times, _join(values), k, _hermitian_form(cols.reshape(-1, n, n))

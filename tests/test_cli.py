@@ -171,6 +171,15 @@ def test_corrupted_propagation_exits_4(tmp_path, capsys, monkeypatch):
         assert capsys.readouterr().err.startswith("spinstar-error code=4 kind=numeric")
 
 
+@pytest.mark.parametrize("t2_ms", ["1e-8", "1e-9", "1e-10", "1e-12"])
+def test_strong_dephasing_scans_on_the_dense_branch(tmp_path, t2_ms):
+    # T2 from 10 ps down to 1 fs: the dense exponentials take up to 36
+    # squarings, and the exactly conserved trace of the register pair must
+    # survive them within DENSITY_TRACE_TOL, without renormalising
+    for m in (3, 5, 7, 9, 11):
+        assert run_cli(tmp_path, "scan", "--m", str(m), "--t2-ms", t2_ms) == EXIT_OK, m
+
+
 @pytest.mark.parametrize("argv", [
     ["fit", "--ms", "3,5,7", "--t2s-ms", "1,1,1"],
     ["fit", "--ms", "3,3,5", "--t2s-ms", "0.5,1,2"],
@@ -543,3 +552,33 @@ def test_cli_import_leaves_out_the_optimizer_and_the_ode_solver():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+def test_short_arms_and_non_scanning_commands_load_no_scipy(tmp_path):
+    # scipy serves only the Chebyshev branch (n^2 > DENSE_ADVANCE_MAX) and
+    # the campaigns that fit or integrate; a fresh interpreter running the
+    # commands below never imports it, and the long arm still scans once
+    # the branch binds it
+    import os
+    import subprocess
+    import sys
+
+    import spinstar
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spinstar.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys\n"
+            "from spinstar.cli import main\n"
+            "out = ['--outdir', sys.argv[1]]\n"
+            "codes = [main(['spectrum', *out]), main(['wstate', *out]),\n"
+            "         main(['scan', '--m', '3', *out]), main(['scan', '--m', '5', *out])]\n"
+            "loaded = lambda: sorted(m for m in sys.modules\n"
+            "                        if m == 'scipy' or m.startswith('scipy.'))\n"
+            "print('loaded:', codes, loaded())\n"
+            "code = main(['scan', '--m', '21', '--samples', '301', *out])\n"
+            "print('loaded:', code, 'scipy' in loaded())\n")
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                         capture_output=True, text=True, check=True, timeout=120)
+    lines = [line for line in out.stdout.splitlines() if line.startswith("loaded:")]
+    assert lines == ["loaded: [0, 0, 0, 0] []", "loaded: 0 True"]

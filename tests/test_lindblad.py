@@ -344,6 +344,62 @@ def test_dense_branch_matches_full_space_on_random_arms():
         assert np.abs(direct - full.states[k]).max() < 1e-8, (spec, t2, register)
 
 
+KERNEL_ARMS = [ChainSpec(m_chain=m) for m in range(1, 12)] + [
+    ChainSpec(m_chain=7, lost_sites={3}),
+    ChainSpec(m_chain=5, disorder=DisorderSpec(variance_nm2=0.25, seed=3)),
+]
+
+
+def _kernel_times(spec):
+    # dt, the stride K dt and the window of the default scan grid
+    window = default_window_s(spec)
+    dt = window / (lindblad.N_SAMPLES_DEFAULT - 1)
+    return dt, (math.isqrt(lindblad.N_SAMPLES_DEFAULT - 1) + 1) * dt, window
+
+
+def _norm1(a):
+    return np.abs(a).sum(axis=0).max()
+
+
+@pytest.mark.parametrize("t2", [math.inf, 1e-3, 1e-6])
+@pytest.mark.parametrize("spec", KERNEL_ARMS,
+                         ids=lambda s: f"m{s.m_chain}-lost{len(s.lost_sites)}"
+                                       f"-dis{int(s.disorder is not None)}")
+def test_dense_exponential_matches_scipy_expm(spec, t2):
+    # scipy's expm, kept as an oracle only; over a whole window it is
+    # itself off by up to 8e-13 relative (M = 7 with site 3 lost, against
+    # an extended-precision series), so the window gets a wider bound
+    from scipy.linalg import expm
+
+    prop = _arm_propagator(spec, NoiseSpec(t2_s=t2))
+    for t, bound in zip(_kernel_times(spec), (1e-13, 1e-13, 1e-12)):
+        want = expm(prop.liouvillian * t)
+        got = lindblad._expm(prop.liouvillian, t, prop.l1_norm)
+        assert _norm1(got - want) <= bound * _norm1(want), t
+
+
+@pytest.mark.parametrize("m, t2", [(1, math.inf), (1, 1e-9), (1, 1e-12), (3, 1e-9), (3, 1e-12)])
+def test_dense_exponential_matches_30_digit_reference(m, t2):
+    # at T2 = 1 ps ||L_R K dt||_1 reaches 2e7 and takes 25 squarings, where
+    # scipy's expm is off by 1e-9; the kernel keeps the conserved trace
+    # row u = vec(I) of L_R (u^T L_R = 0) to rounding.  The window at
+    # M = 3 is left out: its 30-digit squarings cost seconds
+    from mpmath import mp
+
+    spec = ChainSpec(m_chain=m)
+    prop = _arm_propagator(spec, NoiseSpec(t2_s=t2))
+    n = math.isqrt(prop.liouvillian.shape[0])
+    trace_row = np.eye(n).ravel()
+    times = _kernel_times(spec)
+    for t in times if m == 1 else times[:2]:
+        with mp.workdps(30):
+            want = mp.expm(mp.matrix(prop.liouvillian.tolist()) * mp.mpf(t))
+            want = np.array(want.tolist(), dtype=float)
+        got = lindblad._expm(prop.liouvillian, t, prop.l1_norm)
+        assert _norm1(got - want) <= 1e-14 * _norm1(want), t
+        assert np.abs(trace_row @ got - trace_row).max() <= 1e-14, t
+
+
 PROBE_SERIES_ARMS = [
     ChainSpec(m_chain=3),
     ChainSpec(m_chain=7, lost_sites={3}),
