@@ -22,6 +22,7 @@ from .lindblad import NoiseSpec
 # NV- electron gyromagnetic ratio, rad s^-1 T^-1
 GAMMA_NV = 2 * math.pi * 28.03e9
 MIN_AMPLITUDE = 0.05   # weakest coherence oscillation a gradient is read from
+UNIFORM_RTOL = 1e-9    # largest step deviation of a readout grid, relative to its mean step
 
 
 class EstimationError(RuntimeError):
@@ -281,78 +282,52 @@ def gradient_coherence(
     return 2.0 * (coherence * np.exp(1j * (wb - wa) * times)).real
 
 
-def _sinusoid_sse(t: np.ndarray, y: np.ndarray, w_grid: np.ndarray) -> np.ndarray:
-    """Least-squares residual of y against a*cos(w t) + b*sin(w t), per w.
+def _prediction_cosine(y: np.ndarray, lag: int) -> float:
+    """cos(w*lag*dt) of a sinusoid sampled every dt: the least-squares
+    solution of y[k+lag] + y[k-lag] = 2*cos(w*lag*dt)*y[k]."""
+    mid = y[lag:-lag]
+    return float(np.clip(mid @ (y[2 * lag:] + y[:-2 * lag]) / (2.0 * (mid @ mid)), -1.0, 1.0))
 
-    `y` is one series, shape (T,), or S of them as columns, (T, S); the
-    result is (W,) or (W, S).  The basis [a, b] = [cos(w t), sin(w t)]
-    is built once for all series.  Per w, the columns are pivoted so
-    that a is the longer, q1 = a/|a|, and b is orthogonalised against q1
-    by Gram-Schmidt, run twice, leaving b_perp.  The triangular factor
-    gives the singular values: s1^2 + s2^2 = |a|^2 + |b|^2 and
-    s1 s2 = |a| |b_perp|.  As ``lstsq(rcond=None)`` does, the second
-    direction q2 = b_perp/|b_perp| is dropped where
-    s2 <= eps*max(T, 2)*s1, and the residual is
-    |y|^2 - (q1.y)^2 - keep*(q2.y)^2, one (W, T) @ (T, S) product per
-    direction.
+
+def _sinusoid_gradient(times_s, series, gamma: float, d_nm: float) -> float:
+    """Gradient ``w/(gamma*D)`` of a series ``A*cos(w*t + phi)`` on a uniform grid.
+
+    Linear prediction (after Prony; Kay, Fundamentals of Statistical
+    Signal Processing I, 1993): lag 1 gives theta = w*dt, then the lag L
+    nearest a quarter period, capped at (N-1)/3, gives w to rounding.
+    L*theta <= pi/2 + theta/2 <= pi, so arccos at lag L needs no branch
+    choice.  An all-zero series keeps w = 0 and fails the amplitude check.
     """
-    phase = w_grid[:, None] * t
-    q1 = np.cos(phase)
-    b_perp = np.sin(phase, out=phase)
-    na2, nb2 = np.einsum("wt,wt->w", q1, q1), np.einsum("wt,wt->w", b_perp, b_perp)
-    swap = nb2 > na2
-    q1[swap], b_perp[swap] = b_perp[swap], q1[swap]
-    r11 = np.sqrt(np.maximum(na2, nb2))
-    q1 /= r11[:, None]
-    for _ in range(2):
-        b_perp -= np.einsum("wt,wt->w", q1, b_perp)[:, None] * q1
-    r22 = np.sqrt(np.einsum("wt,wt->w", b_perp, b_perp))
-    total, det = na2 + nb2, r11 * r22
-    s1 = np.sqrt(0.5 * (total + np.sqrt(np.maximum(total * total - 4.0 * det * det, 0.0))))
-    keep = det / s1 > np.finfo(float).eps * max(len(t), 2) * s1
-    b_perp *= (keep / np.where(keep, r22, 1.0))[:, None]   # q2, or 0 where dropped
-    return np.einsum("t...,t...->...", y, y) - (q1 @ y) ** 2 - (b_perp @ y) ** 2
-
-
-def _coarse_frequencies(times_s, *series) -> tuple:
-    """Checked readout times, the series as float arrays, and the coarse
-    frequency of each series: the argmin of :func:`_sinusoid_sse` on 2048
-    frequencies from pi/span to pi/min(dt), one basis for all series."""
     t = np.asarray(times_s, dtype=float)
-    ys = [np.asarray(y, dtype=float) for y in series]
-    if t.ndim != 1 or any(y.shape != t.shape for y in ys) or len(t) < 8:
+    y = np.asarray(series, dtype=float)
+    if t.ndim != 1 or y.shape != t.shape or len(t) < 8:
         raise EstimationError("need at least 8 samples of a 1-d series")
     if not np.isfinite(t).all():
         raise EstimationError("readout times must be finite")
     dts = np.diff(t)
     if dts.min() <= 0:
         raise EstimationError("readout times must increase strictly")
-    if not all(np.isfinite(y).all() for y in ys):
+    span = t[-1] - t[0]
+    dt = span / (len(t) - 1)
+    if np.abs(dts - dt).max() > UNIFORM_RTOL * dt:
+        raise EstimationError(f"readout times must be uniform to {UNIFORM_RTOL:g} "
+                              "of their mean step")
+    if not np.isfinite(y).all():
         raise EstimationError("series must be finite")
-    w_grid = np.linspace(math.pi / (t[-1] - t[0]), math.pi / dts.min(), 2048)
-    sse = _sinusoid_sse(t, np.stack(ys, axis=1), w_grid)
-    return t, ys, w_grid[np.argmin(sse, axis=0)]
-
-
-def _refine_frequency(t: np.ndarray, y: np.ndarray, w0: float, gamma: float,
-                      d_nm: float, min_amplitude: float) -> float:
-    """Gradient from a nonlinear fit of ``A*cos(w*t + phi)`` seeded at `w0`."""
-    from scipy.optimize import curve_fit
-
-    def model(tt, amp, w, phi):
-        return amp * np.cos(w * tt + phi)
-
-    coef, *_ = np.linalg.lstsq(np.column_stack([np.cos(w0 * t), np.sin(w0 * t)]), y,
+    w = 0.0
+    if y.any():
+        theta = math.acos(_prediction_cosine(y, 1))
+        cap = (len(t) - 1) // 3
+        lag = cap if theta * cap < math.pi / 2 else int(math.pi / (2 * theta) + 0.5)
+        w = math.acos(_prediction_cosine(y, lag)) / (lag * dt)
+    coef, *_ = np.linalg.lstsq(np.column_stack([np.cos(w * t), np.sin(w * t)]), y,
                                rcond=None)
-    a0 = float(np.hypot(*coef))
-    phi0 = float(math.atan2(-coef[1], coef[0]))
-    popt, _ = curve_fit(model, t, y, p0=(a0, w0, phi0), maxfev=20000)
-    amp, w_fit = abs(float(popt[0])), abs(float(popt[1]))
-    if amp < min_amplitude:
+    amp = float(np.hypot(*coef))
+    if amp < MIN_AMPLITUDE:
         raise EstimationError(f"oscillation amplitude {amp:.3f} too weak to fit")
-    if w_fit * (t[-1] - t[0]) < math.pi:
+    if w * span < math.pi:
         raise EstimationError("series spans less than half an oscillation period")
-    return w_fit / (gamma * d_nm * 1e-9)
+    return w / (gamma * d_nm * 1e-9)
 
 
 def estimate_gradient_xy(
@@ -360,23 +335,19 @@ def estimate_gradient_xy(
 ) -> tuple[float, float]:
     """Two-round gradient readout: a pair along x, then a pair along y.
 
-    Both readouts share the time grid, so one coarse search projects the
-    two series on one basis.  Each series is then fitted with
-    ``A*cos(w*t + phi)``, x first, seeded at its coarse frequency, and
-    gives ``w/(gamma*D)``.  Readout times must be finite and strictly
-    increasing.  A series that spans less than half an oscillation
-    period, or whose fitted amplitude is below MIN_AMPLITUDE, raises
-    EstimationError.
+    Each series is read by :func:`_sinusoid_gradient`, x first, and
+    gives ``w/(gamma*D)``.  Readout times must be finite, strictly
+    increasing and uniform to UNIFORM_RTOL of their mean step.  A series
+    that spans less than half an oscillation period, or whose amplitude
+    is below MIN_AMPLITUDE, raises EstimationError.
     """
     if not grad.times_s:
         raise ValueError("gradient spec carries no readout times")
     d = grad.d_nm
     sx = gradient_coherence(pair, grad, (0.0, 0.0), (d, 0.0))
     sy = gradient_coherence(pair, grad, (0.0, 0.0), (0.0, d))
-    t, (yx, yy), (wx, wy) = _coarse_frequencies(grad.times_s, sx, sy)
-    gx = _refine_frequency(t, yx, float(wx), grad.gamma, d, MIN_AMPLITUDE)
-    gy = _refine_frequency(t, yy, float(wy), grad.gamma, d, MIN_AMPLITUDE)
-    return gx, gy
+    return (_sinusoid_gradient(grad.times_s, sx, grad.gamma, d),
+            _sinusoid_gradient(grad.times_s, sy, grad.gamma, d))
 
 
 def distributed_pair(spec: ChainSpec, noise: NoiseSpec, **scan_kwargs) -> np.ndarray:

@@ -535,8 +535,8 @@ def test_write_csv_rejects_malformed_blocks(tmp_path):
 
 
 def test_cli_import_leaves_out_the_optimizer_and_the_ode_solver():
-    # only the fit, the gradient estimator and the full-space oracle use
-    # them, so every other CLI call starts without their import cost
+    # only the fit and the full-space oracle use them, so every other CLI
+    # call starts without their import cost
     import os
     import subprocess
     import sys
@@ -555,10 +555,10 @@ def test_cli_import_leaves_out_the_optimizer_and_the_ode_solver():
 
 
 def test_short_arms_and_non_scanning_commands_load_no_scipy(tmp_path):
-    # scipy serves only the Chebyshev branch (n^2 > DENSE_ADVANCE_MAX) and
-    # the campaigns that fit or integrate; a fresh interpreter running the
-    # commands below never imports it, and the long arm still scans once
-    # the branch binds it
+    # scipy serves only the Chebyshev branch (n^2 > DENSE_ADVANCE_MAX), the
+    # exponent fit and the full-space oracle; a fresh interpreter running
+    # the commands below, gradient sensing included, never imports it, and
+    # the long arm still scans once the branch binds it
     import os
     import subprocess
     import sys
@@ -572,7 +572,8 @@ def test_short_arms_and_non_scanning_commands_load_no_scipy(tmp_path):
             "from spinstar.cli import main\n"
             "out = ['--outdir', sys.argv[1]]\n"
             "codes = [main(['spectrum', *out]), main(['wstate', *out]),\n"
-            "         main(['scan', '--m', '3', *out]), main(['scan', '--m', '5', *out])]\n"
+            "         main(['scan', '--m', '3', *out]), main(['scan', '--m', '5', *out]),\n"
+            "         main(['gradient', '--ms', '3,5', *out])]\n"
             "loaded = lambda: sorted(m for m in sys.modules\n"
             "                        if m == 'scipy' or m.startswith('scipy.'))\n"
             "print('loaded:', codes, loaded())\n"
@@ -581,4 +582,4 @@ def test_short_arms_and_non_scanning_commands_load_no_scipy(tmp_path):
     out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
                          capture_output=True, text=True, check=True, timeout=120)
     lines = [line for line in out.stdout.splitlines() if line.startswith("loaded:")]
-    assert lines == ["loaded: [0, 0, 0, 0] []", "loaded: 0 True"]
+    assert lines == ["loaded: [0, 0, 0, 0, 0] []", "loaded: 0 True"]

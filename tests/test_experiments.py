@@ -8,12 +8,9 @@ from spinstar.chain import ChainSpec, GeometryError
 from spinstar.entangle import max_entanglement_scan
 from spinstar.experiments import (
     GAMMA_NV,
-    MIN_AMPLITUDE,
     EstimationError,
     GradientSpec,
-    _coarse_frequencies,
-    _refine_frequency,
-    _sinusoid_sse,
+    _sinusoid_gradient,
     disorder_monte_carlo,
     distributed_pair,
     estimate_gradient_xy,
@@ -35,11 +32,20 @@ def ideal_bell_pair():
     return np.outer(psi, psi.conj())
 
 
+def phased_pair(amplitude, phase):
+    """A pair whose coherence oscillation 2|rho_{01,10}| is `amplitude`,
+    with a complex phase: the rest of the weight sits on |00>."""
+    psi = np.array([0, 1, np.exp(1j * phase), 0]) / math.sqrt(2)
+    return amplitude * np.outer(psi, psi.conj()) + np.diag([1.0 - amplitude, 0, 0, 0])
+
+
 def estimate_gradient(times_s, series, gamma=GAMMA_NV, d_nm=50.0):
-    """One series through the steps of estimate_gradient_xy: the coarse
-    frequency search, then the nonlinear refinement."""
-    t, (y,), (w0,) = _coarse_frequencies(times_s, series)
-    return _refine_frequency(t, y, float(w0), gamma, d_nm, MIN_AMPLITUDE)
+    """One series through the estimator that estimate_gradient_xy runs per axis."""
+    return _sinusoid_gradient(times_s, series, gamma, d_nm)
+
+
+# the readout grid of the `gradient` command at gx = 10: one period, 64 samples
+CLI_GRID = tuple(np.linspace(0.0, 2 * math.pi / (GAMMA_NV * 10.0 * 50.0 * 1e-9), 64))
 
 
 def test_stable_seed_is_deterministic_and_spread():
@@ -250,13 +256,22 @@ def test_gradient_coherence_rejects_zero_separation():
         gradient_coherence(ideal_bell_pair(), grad, (1.0, 2.0), (1.0, 2.0))
 
 
+@pytest.mark.filterwarnings("error")
 def test_estimate_gradient_noiseless_exact():
-    g, d = 10.0, 50.0
-    w = GAMMA_NV * g * d * 1e-9
-    times = np.linspace(0, 4 * math.pi / w, 64)
-    series = np.cos(w * times)
-    got = estimate_gradient(times, series, GAMMA_NV, d)
-    assert abs(got - g) / g < 1e-6
+    # two periods of a cosine, then the `gradient` command's grid at
+    # gx = 10 read at other gradients, for the Bell pair and for a pair
+    # with a complex coherence
+    d = 50.0
+    cases = [(10.0, "two-periods", ideal_bell_pair())]
+    cases += [(g, "cli", ideal_bell_pair()) for g in (10.0, 12.3, 11.1, 14.9, 13.2)]
+    cases += [(12.3, "cli", phased_pair(0.2, 2.1))]
+    for g, grid, pair in cases:
+        w = GAMMA_NV * g * d * 1e-9
+        times = np.linspace(0, 4 * math.pi / w, 64) if grid == "two-periods" else CLI_GRID
+        grad = GradientSpec(gx=g, gy=0.0, d_nm=d, times_s=tuple(times))
+        series = gradient_coherence(pair, grad, (0.0, 0.0), (d, 0.0))
+        got = estimate_gradient(times, series, GAMMA_NV, d)
+        assert abs(got - g) / g < 1e-13, (g, grid, got)
 
 
 def test_estimate_gradient_damped_amplitude():
@@ -276,95 +291,16 @@ def test_estimate_gradient_rejects_weak_series():
         estimate_gradient(times, 0.01 * np.cos(w * times), GAMMA_NV, d)
 
 
-def test_sinusoid_sse_matches_lstsq_per_frequency():
-    # the stacked SVD against one lstsq per frequency, on the search grid of
-    # estimate_gradient; on the half-integer grid its top frequency pi/dt
-    # puts every sample on a multiple of pi, so the sine column vanishes
-    # to rounding and lstsq's cutoff drops it
-    rng = np.random.default_rng(12)
-    for times in (np.linspace(0.0, 1.0, 64), np.sort(rng.uniform(0.0, 1.0, 40)),
-                  0.5 * np.arange(64)):
-        series = 0.7 * np.cos(23.0 * times + 0.4) + 0.05 * rng.normal(size=len(times))
-        w_grid = np.linspace(math.pi / times[-1], math.pi / np.diff(times).min(), 2048)
-        loop = []
-        for w in w_grid:
-            basis = np.column_stack([np.cos(w * times), np.sin(w * times)])
-            coef, *_ = np.linalg.lstsq(basis, series, rcond=None)
-            r = series - basis @ coef
-            loop.append(r @ r)
-        got = _sinusoid_sse(times, series, w_grid)
-        assert np.abs(got - np.array(loop)).max() < 1e-12 * (series @ series)
-        assert np.argmin(got) == np.argmin(loop)
-
-
 def test_estimate_gradient_rejects_short_series():
     with pytest.raises(EstimationError):
         estimate_gradient(np.linspace(0, 1, 4), np.ones(4))
 
 
-def _lstsq_sse(times, series, w_grid):
-    loop = []
-    for w in w_grid:
-        basis = np.column_stack([np.cos(w * times), np.sin(w * times)])
-        coef, *_ = np.linalg.lstsq(basis, series, rcond=None)
-        r = series - basis @ coef
-        loop.append(r @ r)
-    return np.array(loop)
-
-
-def test_sinusoid_sse_random_oracle():
-    # seeded series against one lstsq per frequency on the search grid of
-    # estimate_gradient, over uniform, random and half-integer grids and
-    # four noise levels.  At the top frequency of the quarter-offset grid
-    # the cosine column vanishes to rounding, so only the pivot keeps the
-    # sine direction.  At the top frequency of the jittered grid the two
-    # columns are parallel to ~1e-10 yet above the cutoff; a least-squares
-    # residual is then fixed only to ~eps/1e-10 of the part of y outside
-    # the basis, so that grid takes a near-top-frequency series with small
-    # noise, and needs both Gram-Schmidt passes and the cutoff on s2 itself
-    rng = np.random.default_rng(2024)
-    grids = [np.linspace(0.0, 1.0, 64), np.sort(rng.uniform(0.0, 1.0, 40)),
-             0.5 * np.arange(64), 0.25 + 0.5 * np.arange(64)]
-    cases = [(times, 0.7 * np.cos(23.0 * times + 0.4) + noise * rng.normal(size=len(times)))
-             for times in grids for noise in (0.0, 1e-3, 1e-2, 0.3)]
-    jittered = 0.3 + 0.5 * np.arange(64) + 1e-11 * rng.normal(size=64)
-    top = math.pi / np.diff(jittered).min()
-    cases += [(jittered, np.cos(top * jittered + 0.3) + noise * rng.normal(size=64))
-              for noise in (0.0, 1e-3, 1e-2)]
-    for times, series in cases:
-        w_grid = np.linspace(math.pi / (times[-1] - times[0]),
-                             math.pi / np.diff(times).min(), 2048)
-        loop = _lstsq_sse(times, series, w_grid)
-        got = _sinusoid_sse(times, series, w_grid)
-        assert np.abs(got - loop).max() < 1e-12 * (series @ series)
-        assert np.argmin(got) == np.argmin(loop)
-
-
-def test_sinusoid_sse_of_a_stack_matches_single_series():
-    # one basis for S series; BLAS may sum a one-column product in another
-    # order, so columns agree to rounding and share the argmin
-    rng = np.random.default_rng(7)
-    times = np.sort(rng.uniform(0.0, 2.0, 50))
-    w_grid = np.linspace(math.pi / (times[-1] - times[0]),
-                         math.pi / np.diff(times).min(), 2048)
-    stack = np.column_stack([a * np.cos(w * times + p) + 0.1 * rng.normal(size=50)
-                             for a, w, p in ((0.9, 7.0, 0.2), (0.3, 31.0, 1.1),
-                                             (0.6, 12.5, -0.7))])
-    got = _sinusoid_sse(times, stack, w_grid)
-    assert got.shape == (2048, 3)
-    for s in range(3):
-        single = _sinusoid_sse(times, stack[:, s], w_grid)
-        assert single.shape == (2048,)
-        norm2 = stack[:, s] @ stack[:, s]
-        assert np.abs(got[:, s] - single).max() < 1e-13 * norm2
-        assert np.argmin(got[:, s]) == np.argmin(single)
-
-
 @pytest.mark.parametrize("g", [(12.0, 5.0), (13.7, 10.2), (6.0, 0.5)],
                          ids=["both", "close", "y-too-slow"])
 def test_two_round_readout_equals_two_single_estimates(g):
-    # one shared coarse search, then x and y refined as estimate_gradient
-    # refines them: the same numbers, or the same first error
+    # x and y read as estimate_gradient reads one series: the same
+    # numbers, or the same first error
     d = 50.0
     times = tuple(np.linspace(0, 2 * math.pi / (GAMMA_NV * g[0] * d * 1e-9), 64))
     grad = GradientSpec(gx=g[0], gy=g[1], d_nm=d, times_s=times)
@@ -391,21 +327,51 @@ _GRID = np.linspace(0.0, 1e-6, 32)
     (np.random.default_rng(3).permutation(_GRID), np.cos(2e7 * _GRID), "increase strictly"),
     (np.r_[_GRID[:-1], np.nan], np.cos(2e7 * _GRID), "times must be finite"),
     (_GRID, np.r_[np.cos(2e7 * _GRID[:-1]), np.inf], "series must be finite"),
-], ids=["repeated", "shuffled", "nan-time", "inf-sample"])
+    (_GRID + 1e-6 * _GRID[1] * np.random.default_rng(4).normal(size=32), np.cos(2e7 * _GRID),
+     "times must be uniform"),
+], ids=["repeated", "shuffled", "nan-time", "inf-sample", "jittered"])
 def test_estimate_gradient_rejects_bad_readout_grids(times, series, message):
     with pytest.raises(EstimationError, match=message):
         estimate_gradient(times, series)
 
 
+@pytest.mark.filterwarnings("error")
 def test_two_round_readout_recovers_both_axes():
-    g = (12.0, 5.0)
     d = 50.0
-    w = GAMMA_NV * max(g) * d * 1e-9
-    times = tuple(np.linspace(0, 6 * math.pi / w, 128))
-    grad = GradientSpec(gx=g[0], gy=g[1], d_nm=d, times_s=times)
-    gx, gy = estimate_gradient_xy(ideal_bell_pair(), grad)
-    assert abs(gx - g[0]) / g[0] < 1e-6
-    assert abs(gy - g[1]) / g[1] < 1e-6
+    cases = [((12.0, 5.0), "three-periods", ideal_bell_pair())]
+    cases += [(g, "cli", ideal_bell_pair())
+              for g in ((10.0, 10.0), (12.3, 11.1), (14.9, 13.2))]
+    cases += [((12.3, 11.1), "cli", phased_pair(0.2, -0.9))]
+    for g, grid, pair in cases:
+        w = GAMMA_NV * max(g) * d * 1e-9
+        times = (tuple(np.linspace(0, 6 * math.pi / w, 128)) if grid == "three-periods"
+                 else CLI_GRID)
+        grad = GradientSpec(gx=g[0], gy=g[1], d_nm=d, times_s=times)
+        gx, gy = estimate_gradient_xy(pair, grad)
+        assert abs(gx - g[0]) / g[0] < 1e-13, (g, grid, gx)
+        assert abs(gy - g[1]) / g[1] < 1e-13, (g, grid, gy)
+
+
+@pytest.mark.parametrize("gy, pair, message", [
+    (0.0, ideal_bell_pair(), "half an oscillation period"),
+    (1e-9, ideal_bell_pair(), "half an oscillation period"),
+    (0.5, ideal_bell_pair(), "half an oscillation period"),
+    (5.0, ideal_bell_pair(), None),   # exactly half a period
+    (10.0, np.diag([1.0, 0, 0, 0]), "amplitude 0.000 too weak"),
+    (10.0, phased_pair(0.049, 0.7), "amplitude 0.049 too weak"),
+    (10.0, phased_pair(0.051, 0.7), None),
+], ids=["gy-0", "gy-1e-9", "gy-0.5", "gy-half-gx", "no-coherence", "amp-0.049",
+        "amp-0.051"])
+def test_cli_grid_readout_verdicts(gy, pair, message):
+    # which arms the `gradient` command reads at gx = 10 and which it
+    # reports as errors; the accuracy of a read is checked above
+    grad = GradientSpec(gx=10.0, gy=gy, d_nm=50.0, times_s=CLI_GRID)
+    if message is None:
+        gx_hat, gy_hat = estimate_gradient_xy(pair, grad)
+        assert abs(gx_hat - 10.0) / 10.0 < 1e-6 and abs(gy_hat - gy) / gy < 1e-6
+    else:
+        with pytest.raises(EstimationError, match=message):
+            estimate_gradient_xy(pair, grad)
 
 
 def test_distributed_pair_coherence_shrinks_with_length():
