@@ -226,8 +226,9 @@ def build_chain_hamiltonian(
     """
     graph = build_coupling_graph(spec, geometry)
     n = graph.n_sites
-    if n > 14:
-        raise ValueError("dense chain limited to 14 sites; use the sector path")
+    # 4^n complex entries per state: 8 sites take 2 GB per default trajectory
+    if n > 7:
+        raise ValueError("dense chain limited to 7 sites; use the sector path")
     dim = 2 ** n
     h = np.zeros((dim, dim), dtype=complex)
     for a, b, s in graph.edges:

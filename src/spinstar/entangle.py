@@ -248,32 +248,20 @@ def _arm(spec: ChainSpec, noise: NoiseSpec, register_state: str) -> tuple:
 
 def _grid_readings(prop: SectorPropagator, state0: SectorState, window: float,
                    n_samples: int) -> tuple:
-    """The sector readings of :func:`_support` on a uniform grid over
-    [0, window].
+    """(times, readings, E_F): the sector readings of :func:`_support` on a
+    uniform grid over [0, window], and the E_F of their register pairs
+    (:func:`_sector_eof`).
 
     :meth:`SectorPropagator.on_grid` carries the four probe rows of
     :func:`_probe_rows` rather than the whole block, and
     :meth:`SectorPropagator.grid_coherences` forms the two vacuum
     coherences from the same strides.
-
-    Returns (times, readings, K, B at the long strides iK dt).
     """
     n = state0.n_sites
-    times, readings, k, blocks = prop.on_grid(state0.block11, window, n_samples,
-                                              _probe_rows(n))
+    times, readings, k, _ = prop.on_grid(state0.block11, window, n_samples, _probe_rows(n))
     coh = prop.grid_coherences(state0.block01, times[1], n_samples, k, [0, n - 1])
-    return times, _probe_readings(state0, coh, readings), k, blocks
-
-
-def _coarse_pass(prop: SectorPropagator, state0: SectorState, window: float,
-                 n_samples: int) -> tuple:
-    """E_F of the register pair on a uniform grid over [0, window], from
-    :func:`_grid_readings` through :func:`_sector_eof`.
-
-    Returns (times, E_F, K, B at the long strides iK dt).
-    """
-    times, readings, k, blocks = _grid_readings(prop, state0, window, n_samples)
-    return times, _sector_eof(*readings), k, blocks
+    readings = _probe_readings(state0, coh, readings)
+    return times, readings, _sector_eof(*readings)
 
 
 def sector_series(
@@ -291,10 +279,10 @@ def sector_series(
     """
     window = default_window_s(spec) if t_end is None else t_end
     check_grid(window, n_samples)
-    times, readings, _, _ = _grid_readings(*_arm(spec, noise, register_state), window,
-                                           n_samples)
+    times, readings, efs = _grid_readings(*_arm(spec, noise, register_state), window,
+                                          n_samples)
     _, trace, pop0, pop_last = readings[:4]
-    return times, pop0.real, pop_last.real, trace.real, _sector_eof(*readings)
+    return times, pop0.real, pop_last.real, trace.real, efs
 
 
 def max_entanglement_scan(
@@ -310,27 +298,29 @@ def max_entanglement_scan(
     (doubling the window once if the maximum lands in the final 5% of
     samples).  The refinement spans the grid neighbours of the maximum,
     cut to one Taylor piece, ``1 / l1_norm``, either side of it, so on
-    any grid it holds two pieces at most, up to rounding.  The block is advanced once, to
-    the start of that span, and :meth:`SectorPropagator.probe_series`
-    tables the four probe readings over it.  E_F increases with the
-    concurrence 2|B[0,last]|, whose square is a polynomial on each piece,
-    so tau* is where :func:`_concurrence_peak` puts it, with no search
-    tolerance.  The scan never reports less than the grid maximum, and the
-    grid wins ties.  The readings at tau* are checked by
-    :func:`assert_sector_readings`, and only the pair there is built as a
-    4x4 state.
+    any grid it holds two pieces at most, up to rounding.  The block is
+    carried once, from the grid to the start of that span
+    (:meth:`SectorPropagator.restart`: on dense arms by the grid's own
+    step, with one exponential only for an off-grid start), and
+    :meth:`SectorPropagator.probe_series` tables the four probe readings
+    over it.  E_F increases with the concurrence 2|B[0,last]|, whose
+    square is a polynomial on each piece, so tau* is where
+    :func:`_concurrence_peak` puts it, with no search tolerance.  The scan
+    never reports less than the grid maximum, and the grid wins ties.  The
+    readings at tau* are checked by :func:`assert_sector_readings`, and
+    only the pair there is built as a 4x4 state.
     """
     window = default_window_s(spec) if t_end is None else t_end
     check_grid(window, n_samples)
     kappa = spec.kappa_angular
     prop, state0 = _arm(spec, noise, register_state)
 
-    times, efs, stride, blocks = _coarse_pass(prop, state0, window, n_samples)
+    times, _, efs = _grid_readings(prop, state0, window, n_samples)
     i_max = int(np.argmax(efs))
     extended = False
     if t_end is None and i_max >= int(0.95 * (n_samples - 1)):
         window *= 2.0
-        times, efs, stride, blocks = _coarse_pass(prop, state0, window, n_samples)
+        times, _, efs = _grid_readings(prop, state0, window, n_samples)
         i_max = int(np.argmax(efs))
         extended = True
     interior = 0 < i_max < n_samples - 1
@@ -339,10 +329,8 @@ def max_entanglement_scan(
     k_lo = max(i_max - 1, 0)
     start = max(times[k_lo], t_max - reach)
     stop = min(times[min(i_max + 1, n_samples - 1)], t_max + reach)
-    # restart from the last long stride at or before the span
-    col = k_lo // stride
-    at_start = prop.advance(blocks[col], start - times[col * stride])
-    series = prop.probe_series(at_start, stop - start, _probe_rows(state0.n_sites))
+    series = prop.probe_series(prop.restart(k_lo, start), stop - start,
+                               _probe_rows(state0.n_sites))
     if not np.isfinite(series).all():
         raise IntegrationError("refinement table is not finite")
     width = (stop - start) / len(series)

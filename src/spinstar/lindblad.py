@@ -220,34 +220,28 @@ def evolve(
                       n_sites=n_qubits(dim), states=states)
 
 
-# Crossovers of SectorPropagator's dense branch, in n^2, the size of the
+# Crossover of SectorPropagator's dense branch, in n^2, the size of the
 # generator L_R of an n-site arm.  Measured with one BLAS thread on a
 # 2-vCPU Xeon VM (numpy 2.4, scipy 1.17), default arms at T2 = 1 ms,
 # medians of six runs; on_grid over 2001 samples of the default window
-# with the scan's probe rows; advance by two grid steps; peak memory as
-# traced by tracemalloc over one on_grid.  The sparse columns are the
-# Chebyshev branch, the dense ones _expm:
+# with the scan's probe rows; peak memory as traced by tracemalloc over
+# one on_grid.  The sparse columns are the Chebyshev branch, the dense
+# ones _expm:
 #
-#   M   n^2 |  on_grid, ms  | advance, ms  | peak, MB
-#           | sparse  dense | sparse dense | sparse dense
-#   3    25 |   7.0    0.5  |  0.33  0.06  |  0.20  0.30
-#   5    49 |   9.3    0.6  |  0.36  0.09  |  0.23  0.45
-#   7    81 |  10.8    1.4  |  0.35  0.26  |  0.27  0.76
-#   9   121 |  11.9    4.2  |  0.33  1.41  |  0.33  1.55
-#  11   169 |  10.1    8.7  |  0.33  3.36  |  0.40  3.00
-#  13   225 |  13.6   17.1  |  0.33  7.50  |  0.47  4.89
-#  15   289 |  14.3   37.0  |  0.28  10.3  |  0.55  8.72
+#   M   n^2 |  on_grid, ms  | peak, MB
+#           | sparse  dense | sparse dense
+#   3    25 |   7.0    0.5  |  0.20  0.30
+#   5    49 |   9.3    0.6  |  0.23  0.45
+#   7    81 |  10.8    1.4  |  0.27  0.76
+#   9   121 |  11.9    4.2  |  0.33  1.55
+#  11   169 |  10.1    8.7  |  0.40  3.00
+#  13   225 |  13.6   17.1  |  0.47  4.89
+#  15   289 |  14.3   37.0  |  0.55  8.72
 #
-# The host's speed drifts by up to 2x between runs.  advance carries one
-# block per call (a scan calls it once, to the start of its refinement),
-# so its dense exponential pays only while it costs clearly less than
-# one Chebyshev carry: n^2 <= 49.  At n^2 = 81 the two lie within that
-# drift of each other (0.18-0.30 against 0.20-0.45 ms), at most 0.2 ms of
-# a 10 ms scan, so the crossover stays.  On the grid the two branches
+# The host's speed drifts by up to 2x between runs.  The two branches
 # meet between n^2 = 169 and 225; past that the dense working set also
 # grows as n^4 (_expm holds q + 1 + r <= 10 n^2 x n^2 arrays).
 DENSE_GRID_MAX = 169
-DENSE_ADVANCE_MAX = 49
 
 # Degree of probe_series.  On pieces of width s with ||L_R||_1 s <= 1 the
 # terms past this degree sum below 1/19! * (1 + 1/20 + ...) < 2^-53
@@ -511,16 +505,16 @@ class SectorPropagator:
     Pi the transpose permutation, in `liouvillian`.  Blocks go in and
     come out Hermitian; only the propagation is real.
 
-    Short arms hold ``L_R`` dense and take dense exponentials
-    (:func:`_expm`): on the grid while n^2 <= DENSE_GRID_MAX
-    (`dense_grid`), in :meth:`advance` while n^2 <= DENSE_ADVANCE_MAX
-    (`dense_advance`).  Otherwise ``L_R`` is sparse (CSR) and vec(R) is
-    carried piece by piece by a Chebyshev series of ``exp(L_R t)``
-    (Tal-Ezer & Kosloff 1984), whose ellipse encloses the field of values
-    in closed form from the spread W of `energies` and from Gamma; the
-    truncation and the piece length are derived bounds (see
-    CHEB_GROWTH_MAX).  :meth:`probe_series`, the scan's refinement, forms
-    products ``L_R @ v`` only, and is the same on both branches.
+    Arms with n^2 <= DENSE_GRID_MAX (`dense_grid`) hold ``L_R`` dense,
+    numpy alone: every exponential comes from :func:`_expm`, and
+    :meth:`restart` carries a grid column by products with the grid's own
+    step.  Longer arms bind scipy and hold ``L_R`` sparse (CSR), and
+    vec(R) is carried piece by piece by a Chebyshev series of
+    ``exp(L_R t)`` (Tal-Ezer & Kosloff 1984), whose ellipse encloses the
+    field of values in closed form from the spread W of `energies` and
+    from Gamma; the truncation and the piece length are derived bounds
+    (see CHEB_GROWTH_MAX).  :meth:`probe_series`, the scan's refinement,
+    forms products ``L_R @ v`` only, and is the same on both branches.
     """
 
     def __init__(self, h1: np.ndarray, noise: NoiseSpec):
@@ -531,29 +525,25 @@ class SectorPropagator:
         self.gamma = gamma = noise.rate
         self.energies, self.modes = np.linalg.eigh(h1)
         self.dense_grid = n * n <= DENSE_GRID_MAX
-        self.dense_advance = n * n <= DENSE_ADVANCE_MAX
         damping = np.full((n, n), -4.0 * gamma)
         np.fill_diagonal(damping, 0.0)
         # row-major vec: vec(h R) = (h x I) vec(R), vec(R h) = (I x h^T) vec(R),
         # vec(R^T) = vec(R)[t]
         t = _transpose_index(n)
-        if not self.dense_advance:
-            _bind_scipy()
         if self.dense_grid:
             eye = np.eye(n)
             self.liouvillian = ((np.kron(eye, h1.T) - np.kron(h1, eye))[:, t]
                                 + np.diag(damping.ravel()))
-            sparse = None if self.dense_advance else sp.csr_matrix(self.liouvillian)
         else:
+            _bind_scipy()
             h = sp.csr_matrix(h1)
             eye = sp.identity(n, format="csr")
-            self.liouvillian = sparse = ((sp.kron(eye, h.T) - sp.kron(h, eye)).tocsr()[:, t]
-                                         + sp.diags(damping.ravel())).tocsr()
-        # L_R - c, c = -2 Gamma, the centre of the Chebyshev series, where
-        # the series carries (advance unless dense_advance, the grid
-        # unless dense_grid)
-        self._shifted = None if sparse is None else (
-            sparse + 2.0 * gamma * sp.identity(n * n, format="csr")).tocsr()
+            self.liouvillian = ((sp.kron(eye, h.T) - sp.kron(h, eye)).tocsr()[:, t]
+                                + sp.diags(damping.ravel())).tocsr()
+            # L_R - c, c = -2 Gamma, the centre of the Chebyshev series
+            self._shifted = (self.liouvillian
+                             + 2.0 * gamma * sp.identity(n * n, format="csr")).tocsr()
+        self._grid = None          # the last grid of on_grid, for restart
         # ||L_R||_1, the largest column sum, sets the pieces of probe_series
         self.l1_norm = float(abs(self.liouvillian).sum(axis=0).max())
 
@@ -608,10 +598,10 @@ class SectorPropagator:
 
     def _carry(self, vec: np.ndarray, t: float) -> np.ndarray:
         """vec(R) evolved by `t` seconds."""
-        if self.dense_advance:
-            return _expm(self.liouvillian, t, self.l1_norm) @ vec
         if t == 0:
             return vec.copy()
+        if self.dense_grid:
+            return _expm(self.liouvillian, t, self.l1_norm) @ vec
         r, sign, y, y2, coef = self._chebyshev(t, np.ones(1))
         for _ in range(r):
             vec = coef[0] @ _chebyshev_terms(y, y2, sign, vec, coef.shape[1])
@@ -621,6 +611,19 @@ class SectorPropagator:
         """The one-excitation block `block11` evolved by `t` seconds."""
         vec = self._carry(_real_form(block11).ravel(), t)
         return _hermitian_form(vec.reshape(block11.shape))
+
+    def restart(self, sample: int, t: float) -> np.ndarray:
+        """The one-excitation block at time `t` >= times[`sample`] of the
+        last grid of :meth:`on_grid`, from its long stride iK <= `sample`:
+        on the dense branch by sample - iK products with the grid's step
+        P_1 and :func:`_expm` only for an off-grid rest t - times[sample],
+        on the Chebyshev branch by one carry over t - times[iK]."""
+        times, k, cols, step = self._grid
+        origin = sample if step is not None else sample - sample % k
+        vec = cols[sample // k]
+        for _ in range(origin % k):
+            vec = step @ vec
+        return _hermitian_form(self._carry(vec, t - times[origin]).reshape(self.modes.shape))
 
     def probe_series(self, block11: np.ndarray, span: float,
                      probes: np.ndarray) -> np.ndarray:
@@ -658,9 +661,10 @@ class SectorPropagator:
         iK dt by repeated products with P_K = exp(L_R K dt), and the 2p
         real rows of :func:`_real_probes` over the short strides j dt by
         products with P_1^T = exp(L_R dt)^T, exp(L_R^T j dt) r, so the
-        readings come out of one product.  On the sparse branch vec(R0) is carried over
-        pieces of K dt / r by the Chebyshev series, whose one table of
-        coefficients gives every sample in a piece.
+        readings come out of one product.  On the sparse branch vec(R0) is
+        carried over pieces of K dt / r by the Chebyshev series, whose one
+        table of coefficients gives every sample in a piece.  The grid is
+        kept for :meth:`restart`.
 
         Returns (times, readings, K, B at the long strides iK dt), the
         readings of shape (n_samples, p).
@@ -672,14 +676,17 @@ class SectorPropagator:
         n_long = (n_samples - 1) // k + 1
         vec = _real_form(block11).ravel()
         rows = _real_probes(probes)
+        step = None
         if not self.dense_grid:
             values, cols = self._chebyshev_grid(vec, k, dt, n_long, n_samples, rows)
         else:
             cols = _powers(_expm(self.liouvillian, k * dt, self.l1_norm), vec, n_long)
             width = rows.shape[1]
-            carried = _powers(_expm(self.liouvillian, dt, self.l1_norm).T, rows, k)
+            step = _expm(self.liouvillian, dt, self.l1_norm)
+            carried = _powers(step.T, rows, k)
             values = ((cols @ carried.transpose(1, 0, 2).reshape(n * n, k * width))
                       .reshape(-1, width)[:n_samples])
+        self._grid = times, k, cols, step
         return times, _join(values), k, _hermitian_form(cols.reshape(-1, n, n))
 
     def _chebyshev_grid(self, vec: np.ndarray, k: int, dt: float, n_long: int,

@@ -202,6 +202,20 @@ def test_configuration_errors_exit_2_before_scanning(tmp_path, capsys, monkeypat
     assert list(tmp_path.iterdir()) == []
 
 
+def test_full_space_evolve_past_seven_sites_exits_2(tmp_path, capsys, monkeypatch):
+    # the full-space oracle holds 4^n entries per state, so an arm of 8
+    # sites (M = 6) is refused before anything is integrated
+    def no_integration(*args, **kwargs):
+        raise AssertionError("integrated a rejected arm")
+
+    monkeypatch.setattr("spinstar.lindblad.evolve", no_integration)
+    assert run_cli(tmp_path, "evolve", "--m", "6", "--method", "full") == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("spinstar-error code=2 kind=config")
+    assert "use the sector path" in err[0]
+    assert not (tmp_path / "evolve.csv").exists()
+
+
 def test_jobs_is_no_longer_a_key(tmp_path, capsys):
     # campaigns run in one process; the worker-count key went with the pool
     assert run_cli(tmp_path, "disorder", "--ms", "3", "--runs", "1", *FAST,
@@ -555,10 +569,11 @@ def test_cli_import_leaves_out_the_optimizer_and_the_ode_solver():
 
 
 def test_short_arms_and_non_scanning_commands_load_no_scipy(tmp_path):
-    # scipy serves only the Chebyshev branch (n^2 > DENSE_ADVANCE_MAX), the
-    # exponent fit and the full-space oracle; a fresh interpreter running
-    # the commands below, gradient sensing included, never imports it, and
-    # the long arm still scans once the branch binds it
+    # scipy serves only the Chebyshev branch (n^2 > DENSE_GRID_MAX, M >= 12
+    # without losses), the exponent fit and the full-space oracle; a fresh
+    # interpreter running the commands below, gradient sensing and arms up
+    # to M = 11 included, never imports it, and the long arm still scans
+    # once the branch binds it
     import os
     import subprocess
     import sys
@@ -573,7 +588,11 @@ def test_short_arms_and_non_scanning_commands_load_no_scipy(tmp_path):
             "out = ['--outdir', sys.argv[1]]\n"
             "codes = [main(['spectrum', *out]), main(['wstate', *out]),\n"
             "         main(['scan', '--m', '3', *out]), main(['scan', '--m', '5', *out]),\n"
-            "         main(['gradient', '--ms', '3,5', *out])]\n"
+            "         main(['gradient', '--ms', '3,5', *out]),\n"
+            "         main(['scan', '--m', '11', *out]),\n"
+            "         main(['disorder', '--ms', '7,9,11', '--runs', '2', '--samples', '201',\n"
+            "               *out]),\n"
+            "         main(['gradient', '--ms', '3,7,11', *out])]\n"
             "loaded = lambda: sorted(m for m in sys.modules\n"
             "                        if m == 'scipy' or m.startswith('scipy.'))\n"
             "print('loaded:', codes, loaded())\n"
@@ -582,4 +601,4 @@ def test_short_arms_and_non_scanning_commands_load_no_scipy(tmp_path):
     out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
                          capture_output=True, text=True, check=True, timeout=120)
     lines = [line for line in out.stdout.splitlines() if line.startswith("loaded:")]
-    assert lines == ["loaded: [0, 0, 0, 0, 0] []", "loaded: 0 True"]
+    assert lines == ["loaded: [0, 0, 0, 0, 0, 0, 0, 0] []", "loaded: 0 True"]

@@ -597,14 +597,40 @@ def test_tau_star_matches_a_30_digit_reference(m_chain, tau_ref):
 ])
 def test_tau_star_reference_across_noise_and_branches(m_chain, t2, branch, tau_ref,
                                                       monkeypatch):
-    # the Chebyshev branch is forced on the grid and in advance through
-    # the two crossover constants; probe_series is shared by both
+    # the Chebyshev branch is forced through the one crossover constant;
+    # probe_series is shared by both
     if branch == "chebyshev":
         monkeypatch.setattr(lindblad, "DENSE_GRID_MAX", 0)
-        monkeypatch.setattr(lindblad, "DENSE_ADVANCE_MAX", 0)
     spec, noise = ChainSpec(m_chain=m_chain), NoiseSpec(t2_s=t2)
     result = max_entanglement_scan(spec, noise)
     tau, e_m = reference_tau_star(spec, noise, result.tau_star_kt)
     assert abs(tau - tau_ref) < 1e-9
     assert abs(result.tau_star_kt - tau) < 1e-8
     assert abs(result.e_m - e_m) < 1e-13
+
+
+RESTART_ARMS = [(ChainSpec(m_chain=m), 2001) for m in range(6, 12)] + [
+    (ChainSpec(m_chain=12, lost_sites={5}), 2001),
+    (ChainSpec(m_chain=9, disorder=DisorderSpec(variance_nm2=0.25, seed=4)), 2001),
+    (ChainSpec(m_chain=9), 5),
+]
+
+
+@pytest.mark.parametrize("t2", [math.inf, 1e-3, 1e-6])
+@pytest.mark.parametrize("spec, n_samples", RESTART_ARMS,
+                         ids=lambda v: f"samples{v}" if isinstance(v, int) else
+                         f"m{v.m_chain}-lost{len(v.lost_sites)}-dis{int(v.disorder is not None)}")
+def test_dense_restart_matches_the_chebyshev_carry(spec, n_samples, t2, monkeypatch):
+    # on dense arms the refinement starts from the grid by products with
+    # its step P_1 and one exponential of an off-grid rest; the same scan
+    # forced onto the Chebyshev branch carries the grid column at once
+    noise = NoiseSpec(t2_s=t2)
+    dense = max_entanglement_scan(spec, noise, n_samples=n_samples)
+    if n_samples == 5:
+        # a step past one Taylor piece, so the span starts off the grid
+        prop = SectorPropagator(single_excitation_matrix(build_coupling_graph(spec)), noise)
+        assert prop.l1_norm * default_window_s(spec) / (n_samples - 1) > 1
+    monkeypatch.setattr(lindblad, "DENSE_GRID_MAX", 0)
+    sparse = max_entanglement_scan(spec, noise, n_samples=n_samples)
+    assert abs(dense.tau_star_kt - sparse.tau_star_kt) <= 1e-12 * max(1.0, sparse.tau_star_kt)
+    assert abs(dense.e_m - sparse.e_m) <= 1e-12

@@ -264,17 +264,16 @@ def test_grid_coherences_on_an_extended_window():
 
 
 def test_branch_by_arm_size():
-    # n = M + 2 sites less the lost ones; the crossovers sit at n^2 = 169
-    # on the grid and n^2 = 49 in advance
+    # n = M + 2 sites less the lost ones; the one crossover sits at
+    # n^2 = 169, and only the Chebyshev branch holds a CSR L_R
     noise = NoiseSpec(t2_s=1e-3)
     for m in range(1, 16):
         prop = _arm_propagator(ChainSpec(m_chain=m), noise)
         assert prop.dense_grid == (m <= 11), m
-        assert prop.dense_advance == (m <= 5), m
+        assert isinstance(prop.liouvillian, np.ndarray) == (m <= 11), m
     lossy = _arm_propagator(ChainSpec(m_chain=12, lost_sites={4}), noise)
-    assert lossy.dense_grid and not lossy.dense_advance
-    lossy = _arm_propagator(ChainSpec(m_chain=6, lost_sites={2}), noise)
-    assert lossy.dense_advance
+    assert lossy.dense_grid and isinstance(lossy.liouvillian, np.ndarray)
+    assert not _arm_propagator(ChainSpec(m_chain=13, lost_sites={4}), noise).dense_grid
 
 
 DENSE_ORACLE_ARMS = [ChainSpec(m_chain=m) for m in range(1, 14)] + [
@@ -295,11 +294,9 @@ def test_dense_branch_matches_expm_multiply(spec, t2, monkeypatch):
     props = []
     for limit in (10 ** 6, 0):
         monkeypatch.setattr(lindblad, "DENSE_GRID_MAX", limit)
-        monkeypatch.setattr(lindblad, "DENSE_ADVANCE_MAX", limit)
         props.append(_arm_propagator(spec, noise))
     dense, sparse = props
-    assert dense.dense_grid and dense.dense_advance
-    assert not (sparse.dense_grid or sparse.dense_advance)
+    assert dense.dense_grid and not sparse.dense_grid
     state0 = initial_transfer_state(spec)
     n = state0.n_sites
     window = default_window_s(spec)
@@ -330,7 +327,7 @@ def test_dense_branch_matches_full_space_on_random_arms():
         spec = ChainSpec(m_chain=m, lost_sites=lost, disorder=disorder)
         noise = NoiseSpec(t2_s=t2)
         prop = _arm_propagator(spec, noise)
-        assert prop.dense_grid and prop.dense_advance
+        assert prop.dense_grid
         kwargs = dict(n_samples=21, register_state=register)
         full = evolve_chain(spec, noise, rtol=1e-10, atol=1e-14, **kwargs)
         _, states = sector_grid(spec, noise, **kwargs)
@@ -417,7 +414,6 @@ def test_probe_series_matches_advance(spec, t2, limit, monkeypatch):
     # random points of spans of one piece and of several, against an exact
     # advance from the start of the span
     monkeypatch.setattr(lindblad, "DENSE_GRID_MAX", limit)
-    monkeypatch.setattr(lindblad, "DENSE_ADVANCE_MAX", limit)
     noise = NoiseSpec(t2_s=t2)
     prop = _arm_propagator(spec, noise)
     assert prop.dense_grid == (limit > 0)
@@ -563,7 +559,7 @@ def test_chebyshev_branch_matches_dense_expm(spec, t2):
 
     noise = NoiseSpec(t2_s=t2)
     prop = _arm_propagator(spec, noise)
-    assert not (prop.dense_grid or prop.dense_advance)
+    assert not prop.dense_grid
     liouvillian = _complex_liouvillian(spec, noise).toarray()
     state0 = initial_transfer_state(spec)
     b0 = state0.block11.ravel()
