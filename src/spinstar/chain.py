@@ -7,8 +7,8 @@ gap is placed so that the register coupling equals ``delta_ratio * kappa``,
 i.e. at ``r * (kappa/delta)**(1/3)``.
 
 Lost chain sites are removed from the Hilbert space; the surviving sites,
-ordered along the line, are connected by nearest and (optionally)
-second-nearest neighbor edges with strengths from their actual distances.
+ordered along the line, are connected by nearest and second-nearest
+neighbor edges with strengths from their actual distances.
 """
 
 from __future__ import annotations
@@ -29,14 +29,13 @@ class GeometryError(ValueError):
 class DisorderSpec:
     """Normal spacing disorder: chain spacings ~ N(mean_nm, variance_nm2).
 
-    Register gaps stay fixed unless `include_register_gaps` is set;
-    registers are implanted independently of the chain.
+    Register gaps stay fixed: registers are implanted independently of
+    the chain.
     """
 
     mean_nm: float = 10.0
     variance_nm2: float = 0.25
     seed: int = 0
-    include_register_gaps: bool = False
 
     def __post_init__(self):
         if not self.mean_nm > 0:
@@ -60,8 +59,6 @@ class ChainSpec:
     kappa_hz : float
         Chain coupling at distance r, as an ordinary frequency; converted
         to the angular frequency ``2*pi*kappa_hz`` internally.
-    include_nnn : bool
-        Include second-nearest-neighbor edges.
     lost_sites : frozenset of int
         Missing chain sites (indices 1..M).  At most two, never adjacent:
         with couplings truncated beyond second neighbors, two adjacent
@@ -73,7 +70,6 @@ class ChainSpec:
     spacing_nm: float = 10.0
     delta_ratio: float = 0.9
     kappa_hz: float = 26e3
-    include_nnn: bool = True
     lost_sites: frozenset = field(default_factory=frozenset)
     disorder: DisorderSpec | None = None
 
@@ -154,27 +150,22 @@ def build_geometry(spec: ChainSpec) -> Geometry:
     dis = spec.disorder
     if dis is None or dis.variance_nm2 == 0.0:
         spacings = [r] * (m - 1)
-        gaps = (gap, gap)
     else:
         rng = np.random.default_rng(dis.seed)
         sigma = math.sqrt(dis.variance_nm2)
 
-        def draw(mean: float) -> float:
+        def draw() -> float:
             for _ in range(_MAX_RESAMPLES):
-                x = float(rng.normal(mean, sigma))
+                x = float(rng.normal(dis.mean_nm, sigma))
                 if x > 0:
                     return x
             raise GeometryError("could not sample a positive spacing")
 
-        spacings = [draw(dis.mean_nm) for _ in range(m - 1)]
-        if dis.include_register_gaps:
-            gaps = (draw(gap), draw(gap))
-        else:
-            gaps = (gap, gap)
-    pos = [0.0, gaps[0]]
+        spacings = [draw() for _ in range(m - 1)]
+    pos = [0.0, gap]
     for s in spacings:
         pos.append(pos[-1] + s)
-    pos.append(pos[-1] + gaps[1])
+    pos.append(pos[-1] + gap)
     return Geometry(positions_nm=tuple(pos))
 
 
@@ -185,25 +176,22 @@ def coupling_from_distance(d_nm: float, spec: ChainSpec) -> float:
     return spec.kappa_angular * (spec.spacing_nm / d_nm) ** 3
 
 
-def build_coupling_graph(spec: ChainSpec, geometry: Geometry | None = None) -> CouplingGraph:
+def build_coupling_graph(spec: ChainSpec) -> CouplingGraph:
     """Nearest and second-nearest edges among surviving sites.
 
     Neighbor rank is taken along the line of surviving sites, so a single
     loss reconnects its neighbors at the doubled distance.  Strengths
-    always follow the cubic law on the stored geometry.
+    follow the cubic law on the geometry of :func:`build_geometry`.
     """
-    geom = build_geometry(spec) if geometry is None else geometry
-    if len(geom.positions_nm) != spec.m_chain + 2:
-        raise GeometryError("geometry does not match the chain's site count")
+    pos = build_geometry(spec).positions_nm
     alive = spec.surviving_sites
     n = len(alive)
     edges = []
     for a in range(n - 1):
-        reach = (a + 1, a + 2) if spec.include_nnn else (a + 1,)
-        for b in reach:
+        for b in (a + 1, a + 2):
             if b >= n:
                 continue
-            d = geom.positions_nm[alive[b]] - geom.positions_nm[alive[a]]
+            d = pos[alive[b]] - pos[alive[a]]
             edges.append((a, b, coupling_from_distance(d, spec)))
     return CouplingGraph(n_sites=n, site_ids=alive, edges=tuple(edges))
 
@@ -216,15 +204,13 @@ def single_excitation_matrix(graph: CouplingGraph) -> np.ndarray:
     return h
 
 
-def build_chain_hamiltonian(
-    spec: ChainSpec, geometry: Geometry | None = None
-) -> tuple[np.ndarray, tuple]:
+def build_chain_hamiltonian(spec: ChainSpec) -> tuple[np.ndarray, tuple]:
     """Dense flip-flop Hamiltonian over surviving sites.
 
     Returns the operator on ``n_sites`` qubits together with the map from
     new site index to original lattice index.
     """
-    graph = build_coupling_graph(spec, geometry)
+    graph = build_coupling_graph(spec)
     n = graph.n_sites
     # 4^n complex entries per state: 8 sites take 2 GB per default trajectory
     if n > 7:

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .chain import ChainSpec, GeometryError, validate_star_geometry
-from .entangle import max_entanglement_scan, sector_series, trajectory_eof
+from .entangle import max_entanglement_scan, sector_series
 from .experiments import (
     EstimationError,
     GradientSpec,
@@ -35,10 +35,9 @@ from .experiments import (
     fit_exponential,
     gradient_coherence,
     loss_study,
-    stable_seed,
     sweep_length,
 )
-from .lindblad import IntegrationError, NoiseSpec, evolve_chain, site_populations
+from .lindblad import IntegrationError, NoiseSpec
 from .star import StarSpec, dicke_state, star_spectrum_analytic, w_state_protocol
 
 EXIT_OK = 0
@@ -71,32 +70,33 @@ DEFAULTS = {
     "gy": 10.0,
     "d_nm": 50.0,
     "n_times": 64,
-    "method": "sector",
 }
 
+# Each command takes only the keys that can change its outputs.  Distances
+# enter the couplings kappa (r/d)^3 only as ratios, so the spacing r reaches
+# a result only against the disorder variance, in nm^2: `r_nm` belongs to
+# `disorder`, as does `seed`, since no other campaign draws random numbers.
 COMMAND_KEYS = {
     "spectrum": ("n", "coupling"),
-    "wstate": ("n", "coupling", "outcome"),
-    "evolve": ("m", "n", "r_nm", "delta_ratio", "kappa_hz", "t2_ms", "t_end_kt",
-               "samples", "register_state", "method", "seed"),
-    "scan": ("m", "n", "r_nm", "delta_ratio", "kappa_hz", "t2_ms", "t_end_kt",
-             "samples", "register_state", "seed"),
-    "sweep": ("ms", "n", "r_nm", "delta_ratio", "kappa_hz", "t2_ms", "samples",
-              "register_state", "seed"),
-    "fit": ("ms", "n", "t2s_ms", "r_nm", "delta_ratio", "kappa_hz", "samples",
-            "register_state", "seed"),
+    "wstate": ("n", "outcome"),
+    "evolve": ("m", "n", "delta_ratio", "kappa_hz", "t2_ms", "t_end_kt", "samples",
+               "register_state"),
+    "scan": ("m", "n", "delta_ratio", "kappa_hz", "t2_ms", "t_end_kt", "samples",
+             "register_state"),
+    "sweep": ("ms", "n", "delta_ratio", "kappa_hz", "t2_ms", "samples", "register_state"),
+    "fit": ("ms", "n", "t2s_ms", "delta_ratio", "kappa_hz", "samples", "register_state"),
     "disorder": ("ms", "n", "runs", "variance", "r_nm", "delta_ratio",
                  "kappa_hz", "t2_ms", "samples", "register_state", "seed"),
-    "loss": ("ms", "n", "n_lost", "r_nm", "delta_ratio", "kappa_hz", "t2_ms",
-             "samples", "register_state", "seed"),
-    "gradient": ("ms", "n", "gx", "gy", "d_nm", "n_times", "r_nm", "delta_ratio",
-                 "kappa_hz", "t2_ms", "samples", "register_state", "seed"),
+    "loss": ("ms", "n", "n_lost", "delta_ratio", "kappa_hz", "t2_ms", "samples",
+             "register_state"),
+    "gradient": ("ms", "n", "gx", "gy", "d_nm", "n_times", "delta_ratio",
+                 "kappa_hz", "t2_ms", "samples", "register_state"),
 }
 
 _INT_KEYS = {"n", "m", "runs", "seed", "samples", "outcome", "n_lost",
              "n_times"}
 _TUPLE_KEYS = {"ms", "t2s_ms"}
-_STR_KEYS = {"register_state", "method"}
+_STR_KEYS = {"register_state"}
 
 
 @dataclass(frozen=True)
@@ -221,7 +221,7 @@ def write_manifest(outdir, cfg: RunConfig, outputs, wall_time: float,
 def _chain_spec(p: dict, m=None, lost=frozenset(), disorder=None) -> ChainSpec:
     return ChainSpec(
         m_chain=int(m if m is not None else p["m"]),
-        spacing_nm=p["r_nm"],
+        spacing_nm=p.get("r_nm", DEFAULTS["r_nm"]),
         delta_ratio=p["delta_ratio"],
         kappa_hz=p["kappa_hz"],
         lost_sites=lost,
@@ -256,11 +256,13 @@ def _scan_kwargs(p: dict) -> dict:
 
 def _cmd_spectrum(cfg: RunConfig, outdir: str) -> list:
     p = cfg.params
-    levels = star_spectrum_analytic(StarSpec(p["n"], p["coupling"]))
     counted: dict = {}
-    for j, m, e in levels:
+    for j, m, e, mult in star_spectrum_analytic(StarSpec(p["n"], p["coupling"])):
         key = (j, m, round(e, 12))
-        counted[key] = counted.get(key, 0) + 1
+        counted[key] = counted.get(key, 0) + mult
+    if max(counted.values()) > np.iinfo(np.uint64).max:
+        raise ValueError(f"N={p['n']}: level multiplicities exceed the 64-bit "
+                         "integer column of spectrum.csv")
     path = os.path.join(outdir, "spectrum.csv")
     write_csv(path, ["j", "m", "energy", "multiplicity"],
               [((), ([j], [m], [e], [c])) for (j, m, e), c in sorted(counted.items())])
@@ -269,7 +271,7 @@ def _cmd_spectrum(cfg: RunConfig, outdir: str) -> list:
 
 def _cmd_wstate(cfg: RunConfig, outdir: str) -> list:
     p = cfg.params
-    spec = StarSpec(p["n"], p["coupling"])
+    spec = StarSpec(p["n"])
     outcomes = (0, 1) if p["outcome"] == -1 else (p["outcome"],)
     report = {}
     for outcome in outcomes:
@@ -290,17 +292,9 @@ def _cmd_wstate(cfg: RunConfig, outdir: str) -> list:
 
 def _cmd_evolve(cfg: RunConfig, outdir: str) -> list:
     p = cfg.params
-    if p["method"] not in ("sector", "full"):
-        raise ValueError(f"method must be 'sector' or 'full', got {p['method']!r}")
     _check_geometry(p, [p["m"]])
-    spec, noise, kw = _chain_spec(p), _noise(p), _scan_kwargs(p)
-    if p["method"] == "sector":
-        times, pop0, pop_last, n_exc, e_f = sector_series(spec, noise, **kw)
-    else:
-        traj = evolve_chain(spec, noise, **kw)
-        pops = site_populations(traj)
-        times, pop0, pop_last, n_exc = traj.times_s, pops[:, 0], pops[:, -1], pops.sum(axis=1)
-        e_f = trajectory_eof(traj)
+    spec = _chain_spec(p)
+    times, pop0, pop_last, n_exc, e_f = sector_series(spec, _noise(p), **_scan_kwargs(p))
     path = os.path.join(outdir, "evolve.csv")
     write_csv(path, ["time_kt", "time_s", "pop_register0", "pop_register_end",
                      "n_exc", "e_f"],
@@ -318,7 +312,7 @@ def _cmd_scan(cfg: RunConfig, outdir: str) -> list:
               [((), (kt, kt / result.kappa_angular, result.curve_ef))])
     summary_path = os.path.join(outdir, "scan.json")
     payload = result.summary()
-    payload.update({"m": p["m"], "t2_ms": p["t2_ms"], "seed": p["seed"],
+    payload.update({"m": p["m"], "t2_ms": p["t2_ms"],
                     "config": {k: list(v) if isinstance(v, tuple) else v
                                for k, v in sorted(p.items())}})
     with open(summary_path, "w", encoding="utf-8") as fh:
@@ -496,7 +490,6 @@ def build_parser() -> argparse.ArgumentParser:
         "gy": "field gradient along y in T/m (default: %(d)s)",
         "d_nm": "register pair separation in nm (default: %(d)s)",
         "n_times": "sensing readout samples (default: %(d)s)",
-        "method": "integration path, sector|full (default: %(d)s)",
     }
     for command, keys in COMMAND_KEYS.items():
         cp = sub.add_parser(command, help=f"run the {command} campaign")

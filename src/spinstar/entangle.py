@@ -158,12 +158,6 @@ def register_pair_state(traj: Trajectory, spec: ChainSpec | None = None) -> np.n
     return np.array([partial_trace(rho, (0, n - 1)) for rho in traj.states])
 
 
-def trajectory_eof(traj: Trajectory) -> np.ndarray:
-    """E_F of the register pair at every sample of a full-space trajectory,
-    through the general Wootters concurrence, the oracle."""
-    return np.array([eof(pair) for pair in register_pair_state(traj)])
-
-
 @dataclass
 class EmResult:
     """Outcome of a transfer-time scan.
@@ -258,7 +252,7 @@ def _grid_readings(prop: SectorPropagator, state0: SectorState, window: float,
     coherences from the same strides.
     """
     n = state0.n_sites
-    times, readings, k, _ = prop.on_grid(state0.block11, window, n_samples, _probe_rows(n))
+    times, readings, k = prop.on_grid(state0.block11, window, n_samples, _probe_rows(n))
     coh = prop.grid_coherences(state0.block01, times[1], n_samples, k, [0, n - 1])
     readings = _probe_readings(state0, coh, readings)
     return times, readings, _sector_eof(*readings)

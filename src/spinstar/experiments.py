@@ -232,16 +232,14 @@ def loss_study(
 class GradientSpec:
     """Linear field map and sampling grid for pair-coherence sensing.
 
-    The field is ``B(x, y) = b0 + gx*x + gy*y`` (tesla, coordinates in
-    meters); a register at (x, y) precesses at ``omega0 + gamma*B(x, y)``.
+    The field is ``B(x, y) = gx*x + gy*y`` (tesla, coordinates in meters)
+    relative to a uniform bias, whose phase is common to both registers
+    and cancels; a register at (x, y) precesses at ``GAMMA_NV*B(x, y)``.
     `d_nm` is the register pair separation; `times_s` the readout grid.
     """
 
-    b0_tesla: float = 0.0
     gx: float = 10.0
     gy: float = 10.0
-    gamma: float = GAMMA_NV
-    omega0: float = 0.0
     d_nm: float = 50.0
     times_s: tuple = ()
 
@@ -273,7 +271,7 @@ def gradient_coherence(
         raise ValueError("registers coincide: zero separation")
 
     def omega(p):
-        return grad.omega0 + grad.gamma * (grad.b0_tesla + grad.gx * p[0] + grad.gy * p[1])
+        return GAMMA_NV * (grad.gx * p[0] + grad.gy * p[1])
 
     wa, wb = omega(pa), omega(pb)
     times = np.asarray(grad.times_s, dtype=float)
@@ -289,8 +287,8 @@ def _prediction_cosine(y: np.ndarray, lag: int) -> float:
     return float(np.clip(mid @ (y[2 * lag:] + y[:-2 * lag]) / (2.0 * (mid @ mid)), -1.0, 1.0))
 
 
-def _sinusoid_gradient(times_s, series, gamma: float, d_nm: float) -> float:
-    """Gradient ``w/(gamma*D)`` of a series ``A*cos(w*t + phi)`` on a uniform grid.
+def _sinusoid_gradient(times_s, series, d_nm: float) -> float:
+    """Gradient ``w/(GAMMA_NV*D)`` of a series ``A*cos(w*t + phi)`` on a uniform grid.
 
     Linear prediction (after Prony; Kay, Fundamentals of Statistical
     Signal Processing I, 1993): lag 1 gives theta = w*dt, then the lag L
@@ -327,7 +325,7 @@ def _sinusoid_gradient(times_s, series, gamma: float, d_nm: float) -> float:
         raise EstimationError(f"oscillation amplitude {amp:.3f} too weak to fit")
     if w * span < math.pi:
         raise EstimationError("series spans less than half an oscillation period")
-    return w / (gamma * d_nm * 1e-9)
+    return w / (GAMMA_NV * d_nm * 1e-9)
 
 
 def estimate_gradient_xy(
@@ -336,7 +334,7 @@ def estimate_gradient_xy(
     """Two-round gradient readout: a pair along x, then a pair along y.
 
     Each series is read by :func:`_sinusoid_gradient`, x first, and
-    gives ``w/(gamma*D)``.  Readout times must be finite, strictly
+    gives ``w/(GAMMA_NV*D)``.  Readout times must be finite, strictly
     increasing and uniform to UNIFORM_RTOL of their mean step.  A series
     that spans less than half an oscillation period, or whose amplitude
     is below MIN_AMPLITUDE, raises EstimationError.
@@ -346,8 +344,8 @@ def estimate_gradient_xy(
     d = grad.d_nm
     sx = gradient_coherence(pair, grad, (0.0, 0.0), (d, 0.0))
     sy = gradient_coherence(pair, grad, (0.0, 0.0), (0.0, d))
-    return (_sinusoid_gradient(grad.times_s, sx, grad.gamma, d),
-            _sinusoid_gradient(grad.times_s, sy, grad.gamma, d))
+    return (_sinusoid_gradient(grad.times_s, sx, d),
+            _sinusoid_gradient(grad.times_s, sy, d))
 
 
 def distributed_pair(spec: ChainSpec, noise: NoiseSpec, **scan_kwargs) -> np.ndarray:

@@ -98,12 +98,10 @@ class SectorState:
 class Trajectory:
     """Full-space solution of the master equation at `times_s`.
 
-    `times_kt` is the same grid in dimensionless kappa*t, and `states`
-    holds the density matrices as one (N, 2^n, 2^n) array.
+    `states` holds the density matrices as one (N, 2^n, 2^n) array.
     """
 
     times_s: np.ndarray
-    times_kt: np.ndarray
     n_sites: int
     states: np.ndarray
 
@@ -140,18 +138,10 @@ def initial_transfer_state(
     raise ValueError("form must be 'sector' or 'full'")
 
 
-def _z_diagonals(n: int) -> np.ndarray:
-    """Rows: diagonal of sigma_z on each site over the 2^n basis."""
-    z = np.empty((n, 2 ** n))
-    for site in range(n):
-        bit = (np.arange(2 ** n) >> (n - 1 - site)) & 1
-        z[site] = 1.0 - 2.0 * bit
-    return z
-
-
 def _dephasing_mask(n: int) -> np.ndarray:
-    """Entrywise dissipator factor: sum_i (z_i(a) z_i(b) - 1)."""
-    z = _z_diagonals(n)
+    """Entrywise dissipator factor: sum_i (z_i(a) z_i(b) - 1), row i of z
+    the diagonal of sigma_z on site i over the 2^n basis."""
+    z = 1.0 - 2.0 * ((np.arange(2 ** n) >> np.arange(n - 1, -1, -1)[:, None]) & 1)
     return z.T @ z - float(n)
 
 
@@ -195,7 +185,6 @@ def evolve(
     n_samples: int = N_SAMPLES_DEFAULT,
     rtol: float = RTOL_DEFAULT,
     atol: float = ATOL_DEFAULT,
-    kappa_angular: float = 1.0,
 ) -> Trajectory:
     """Integrate the master equation on the full Hilbert space.
 
@@ -216,8 +205,7 @@ def evolve(
         raise IntegrationError(f"integrator failed: {sol.message}")
     states = sol.y.T.reshape(-1, dim, dim)
     _check_trace_drift(np.trace(states, axis1=1, axis2=2).real)
-    return Trajectory(times_s=times, times_kt=kappa_angular * times,
-                      n_sites=n_qubits(dim), states=states)
+    return Trajectory(times_s=times, n_sites=n_qubits(dim), states=states)
 
 
 # Crossover of SectorPropagator's dense branch, in n^2, the size of the
@@ -607,11 +595,6 @@ class SectorPropagator:
             vec = coef[0] @ _chebyshev_terms(y, y2, sign, vec, coef.shape[1])
         return vec
 
-    def advance(self, block11: np.ndarray, t: float) -> np.ndarray:
-        """The one-excitation block `block11` evolved by `t` seconds."""
-        vec = self._carry(_real_form(block11).ravel(), t)
-        return _hermitian_form(vec.reshape(block11.shape))
-
     def restart(self, sample: int, t: float) -> np.ndarray:
         """The one-excitation block at time `t` >= times[`sample`] of the
         last grid of :meth:`on_grid`, from its long stride iK <= `sample`:
@@ -666,8 +649,7 @@ class SectorPropagator:
         table of coefficients gives every sample in a piece.  The grid is
         kept for :meth:`restart`.
 
-        Returns (times, readings, K, B at the long strides iK dt), the
-        readings of shape (n_samples, p).
+        Returns (times, readings, K), the readings of shape (n_samples, p).
         """
         n = block11.shape[0]
         times = np.linspace(0.0, window, n_samples)
@@ -687,7 +669,7 @@ class SectorPropagator:
             values = ((cols @ carried.transpose(1, 0, 2).reshape(n * n, k * width))
                       .reshape(-1, width)[:n_samples])
         self._grid = times, k, cols, step
-        return times, _join(values), k, _hermitian_form(cols.reshape(-1, n, n))
+        return times, _join(values), k
 
     def _chebyshev_grid(self, vec: np.ndarray, k: int, dt: float, n_long: int,
                         n_samples: int, rows: np.ndarray) -> tuple:
@@ -743,12 +725,4 @@ def evolve_chain(
     t_end = default_window_s(spec) if t_end is None else t_end
     h, _ = build_chain_hamiltonian(spec)
     rho0 = initial_transfer_state(spec, register_state, form="full")
-    return evolve(rho0, h, noise, t_end, n_samples, rtol, atol,
-                  kappa_angular=spec.kappa_angular)
-
-
-def site_populations(traj: Trajectory) -> np.ndarray:
-    """Excited population of every site along a trajectory, shape (N, n),
-    read from the diagonal of the states."""
-    excited = (1.0 - _z_diagonals(traj.n_sites)) / 2.0
-    return np.diagonal(traj.states, axis1=1, axis2=2).real @ excited.T
+    return evolve(rho0, h, noise, t_end, n_samples, rtol, atol)

@@ -78,25 +78,27 @@ def multiplet_multiplicities(n: int) -> dict[float, int]:
     return out
 
 
-def star_spectrum_analytic(spec: StarSpec) -> list[tuple[float, float, float]]:
-    """All (j, m, E) eigenvalue labels of the star, multiplicities expanded.
+def star_spectrum_analytic(spec: StarSpec) -> list[tuple[float, float, float, int]]:
+    """All (j, m, E, multiplicity) eigenvalue rows of the star.
 
     For each total-spin sector j of the outer spins and each m from -j to
     j the pair of levels ``+-lambda*sqrt((j+m)(j-m+1))`` appears with the
     sector degeneracy; at m = -j both signs give the two unpaired zero
-    modes of that sector.  The resulting multiset has size 2^(N+1).
+    modes of that sector, one row of twice the degeneracy.  The
+    multiplicities sum to 2^(N+1); the rows number O(N^2).
     """
     lam = spec.coupling
-    levels: list[tuple[float, float, float]] = []
+    rows: list[tuple[float, float, float, int]] = []
     for j, mult in multiplet_multiplicities(spec.n_outer).items():
         m = -j
         while m <= j + 1e-9:
             e = lam * sqrt(max(0.0, (j + m) * (j - m + 1)))
-            for _ in range(mult):
-                levels.append((j, m, +e))
-                levels.append((j, m, -e))
+            if e == 0:
+                rows.append((j, m, e, 2 * mult))
+            else:
+                rows += [(j, m, e, mult), (j, m, -e, mult)]
             m += 1
-    return levels
+    return rows
 
 
 def ground_states(spec: StarSpec) -> list[np.ndarray]:

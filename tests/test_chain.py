@@ -69,12 +69,6 @@ def test_register_gaps_unaffected_by_disorder():
     assert abs((pos[-1] - pos[-2]) - gap) < 1e-12
 
 
-def test_register_gap_disorder_flag():
-    spec = ChainSpec(m_chain=4, disorder=DisorderSpec(seed=1, include_register_gaps=True))
-    pos = build_geometry(spec).positions_nm
-    assert abs((pos[1] - pos[0]) - spec.register_gap_nm) > 1e-6
-
-
 def test_coupling_from_distance():
     spec = ChainSpec(m_chain=3)
     kappa = spec.kappa_angular
@@ -89,22 +83,35 @@ def test_coupling_from_distance():
 def test_edge_strengths_reproduce_cubic_law():
     spec = ChainSpec(m_chain=5, lost_sites={2})
     geom = build_geometry(spec)
-    graph = build_coupling_graph(spec, geom)
+    graph = build_coupling_graph(spec)
     for a, b, s in graph.edges:
         d = geom.positions_nm[graph.site_ids[b]] - geom.positions_nm[graph.site_ids[a]]
         assert abs(s - coupling_from_distance(d, spec)) < 1e-12 * s
 
 
-def test_minimal_chain_without_nnn():
-    spec = ChainSpec(m_chain=1, include_nnn=False)
+def test_minimal_chain_couples_the_registers_directly():
+    # M = 1: both registers couple to the one chain spin at delta, and to
+    # each other as second neighbours across two register gaps, at delta/8
+    spec = ChainSpec(m_chain=1)
     h, ids = build_chain_hamiltonian(spec)
     assert h.shape == (8, 8)
     assert ids == (0, 1, 2)
     graph = build_coupling_graph(spec)
     delta = 0.9 * spec.kappa_angular
-    assert len(graph.edges) == 2
-    for _, _, s in graph.edges:
-        assert abs(s - delta) < 1e-9 * delta
+    strengths = {(a, b): s for a, b, s in graph.edges}
+    assert sorted(strengths) == [(0, 1), (0, 2), (1, 2)]
+    for edge, want in (((0, 1), delta), ((1, 2), delta), ((0, 2), delta / 8)):
+        assert abs(strengths[edge] - want) < 1e-9 * delta
+
+
+def test_dense_chain_refuses_past_seven_sites():
+    # the full-space oracle holds 4^n entries per state: 7 sites build,
+    # lost sites included in the count, and 8 are refused
+    for spec in (ChainSpec(m_chain=5), ChainSpec(m_chain=6, lost_sites={3})):
+        h, ids = build_chain_hamiltonian(spec)
+        assert h.shape == (128, 128) and len(ids) == 7
+    with pytest.raises(ValueError, match="use the sector path"):
+        build_chain_hamiltonian(ChainSpec(m_chain=6))
 
 
 def test_nnn_strength_between_chain_sites():

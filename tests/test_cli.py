@@ -18,9 +18,9 @@ from spinstar.cli import (
     main,
     parse_config_file,
 )
-from spinstar.entangle import max_entanglement_scan
+from spinstar.entangle import eof, max_entanglement_scan, register_pair_state
 from spinstar.experiments import stable_seed
-from spinstar.lindblad import NoiseSpec, SectorPropagator
+from spinstar.lindblad import NoiseSpec, SectorPropagator, evolve_chain
 from spinstar.star import StarSpec, star_spectrum_analytic
 
 FAST = ["--samples", "301"]
@@ -108,8 +108,31 @@ def test_spectrum_table_matches_analytic(tmp_path):
         total += int(mult)
         values += [float(e)] * int(mult)
     assert total == 16
-    expected = sorted(e for _, _, e in star_spectrum_analytic(StarSpec(3, 1.0)))
+    _, _, e, mult = np.array(star_spectrum_analytic(StarSpec(3, 1.0))).T
+    expected = np.sort(np.repeat(e, mult.astype(int)))
     assert np.allclose(sorted(values), expected, atol=1e-9)
+
+
+def test_spectrum_of_sixty_outer_spins(tmp_path):
+    # the rows come from the multiplet degeneracies, not from the 2^61
+    # levels: 1891 rows whose multiplicities count every level exactly
+    assert run_cli(tmp_path, "spectrum", "--n", "60") == EXIT_OK
+    header, *rows = (tmp_path / "spectrum.csv").read_text().splitlines()
+    assert header == "j,m,energy,multiplicity"
+    assert len(rows) == 1891
+    assert sum(int(row.rsplit(",", 1)[1]) for row in rows) == 2 ** 61
+
+
+def test_spectrum_multiplicity_past_64_bits_exits_2(tmp_path, capsys):
+    # N = 69 still fits the unsigned 64-bit integer column; at N = 70 the
+    # largest multiplicity, both zero modes of a multiplet, does not, and
+    # nothing is written
+    assert run_cli(tmp_path / "fits", "spectrum", "--n", "69") == EXIT_OK
+    capsys.readouterr()
+    assert run_cli(tmp_path / "over", "spectrum", "--n", "70") == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("spinstar-error code=2 kind=config")
+    assert not (tmp_path / "over" / "spectrum.csv").exists()
 
 
 def test_wstate_report(tmp_path):
@@ -161,9 +184,9 @@ def test_corrupted_propagation_exits_4(tmp_path, capsys, monkeypatch):
     on_grid = SectorPropagator.on_grid
 
     def corrupted(self, *args, **kwargs):
-        times, values, k, cols = on_grid(self, *args, **kwargs)
+        times, values, k = on_grid(self, *args, **kwargs)
         values[:, 3] += 0.6
-        return times, values, k, cols
+        return times, values, k
 
     monkeypatch.setattr(SectorPropagator, "on_grid", corrupted)
     for command in ("scan", "evolve"):
@@ -186,7 +209,7 @@ def test_strong_dephasing_scans_on_the_dense_branch(tmp_path, t2_ms):
     ["loss", "--ms", "1,2", "--n-lost", "3"],
     ["loss", "--ms", "5", "--n-lost", "3"],
     ["gradient", "--ms", "3", "--n-times", "0"],
-    ["evolve", "--m", "3", "--method", "exact"],
+    ["evolve", "--m", "3", "--delta-ratio", "1.5"],
 ], ids=["fit-t2s", "fit-ms", "loss-short", "loss-long", "gradient", "evolve"])
 def test_configuration_errors_exit_2_before_scanning(tmp_path, capsys, monkeypatch, argv):
     # errors a configuration shows up front are found before the first
@@ -196,24 +219,9 @@ def test_configuration_errors_exit_2_before_scanning(tmp_path, capsys, monkeypat
 
     monkeypatch.setattr("spinstar.experiments.max_entanglement_scan", no_scan)
     monkeypatch.setattr("spinstar.cli.sector_series", no_scan)
-    monkeypatch.setattr("spinstar.cli.evolve_chain", no_scan)
     assert run_cli(tmp_path, *argv, *FAST) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("spinstar-error code=2 kind=config")
     assert list(tmp_path.iterdir()) == []
-
-
-def test_full_space_evolve_past_seven_sites_exits_2(tmp_path, capsys, monkeypatch):
-    # the full-space oracle holds 4^n entries per state, so an arm of 8
-    # sites (M = 6) is refused before anything is integrated
-    def no_integration(*args, **kwargs):
-        raise AssertionError("integrated a rejected arm")
-
-    monkeypatch.setattr("spinstar.lindblad.evolve", no_integration)
-    assert run_cli(tmp_path, "evolve", "--m", "6", "--method", "full") == EXIT_CONFIG
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("spinstar-error code=2 kind=config")
-    assert "use the sector path" in err[0]
-    assert not (tmp_path / "evolve.csv").exists()
 
 
 def test_jobs_is_no_longer_a_key(tmp_path, capsys):
@@ -332,28 +340,31 @@ def test_evolve_campaign(tmp_path):
 
 
 @pytest.mark.parametrize("register", ["plus", "one"])
-def test_evolve_sector_csv_matches_the_full_space_oracle(tmp_path, register, monkeypatch):
-    # the sector path reads the scan's probe rows through the scan's
-    # readings check; the full path integrates 2^n x 2^n states with RK45
-    # and reads every pair through the general Wootters concurrence.  The
-    # oracle runs at A3's tolerances: at the default rtol of 1e-8 its
-    # populations drift by about 3e-8
-    import functools
-
-    import spinstar.cli
-
-    monkeypatch.setattr(spinstar.cli, "evolve_chain", functools.partial(
-        spinstar.cli.evolve_chain, rtol=1e-10, atol=1e-14))
-    columns = {}
-    for method in ("sector", "full"):
-        out = tmp_path / method
-        assert run_cli(out, "evolve", "--m", "2", "--method", method,
-                       "--register-state", register, *FAST) == EXIT_OK
-        header, *rows = (out / "evolve.csv").read_text().splitlines()
-        columns[method] = np.array([row.split(",") for row in rows], dtype=float)
+def test_evolve_sector_csv_matches_the_full_space_oracle(tmp_path, register):
+    # evolve reads the scan's probe rows through the scan's readings
+    # check; the oracle integrates 2^n x 2^n states with RK45 on the same
+    # grid, takes the populations from the diagonals of the states and
+    # reads every pair by partial trace through the general Wootters
+    # concurrence.  It runs at A3's tolerances: at the default rtol of
+    # 1e-8 its populations drift by about 3e-8
+    assert run_cli(tmp_path, "evolve", "--m", "2", "--register-state", register,
+                   *FAST) == EXIT_OK
+    header, *rows = (tmp_path / "evolve.csv").read_text().splitlines()
     assert header == "time_kt,time_s,pop_register0,pop_register_end,n_exc,e_f"
-    assert columns["sector"].shape == (301, 6)
-    assert np.abs(columns["sector"] - columns["full"]).max() < 1e-8   # every column
+    sector = np.array([row.split(",") for row in rows], dtype=float)
+    assert sector.shape == (301, 6)
+
+    spec = ChainSpec(m_chain=2)
+    traj = evolve_chain(spec, NoiseSpec(t2_s=1e-3), n_samples=301,
+                        register_state=register, rtol=1e-10, atol=1e-14)
+    n = traj.n_sites
+    # excited[i, a]: whether site i (bit n-1-i of basis state a) is |1>
+    excited = (np.arange(2 ** n) >> np.arange(n - 1, -1, -1)[:, None]) & 1
+    pops = np.diagonal(traj.states, axis1=1, axis2=2).real @ excited.T
+    full = np.column_stack([spec.kappa_angular * traj.times_s, traj.times_s,
+                            pops[:, 0], pops[:, -1], pops.sum(axis=1),
+                            [eof(pair) for pair in register_pair_state(traj)]])
+    assert np.abs(sector - full).max() < 1e-8   # every column
 
 
 @pytest.mark.parametrize("m", ["3", "13"])
@@ -444,7 +455,8 @@ def test_campaigns_honour_the_arm_flags(tmp_path, arm, flags):
     # sweep, fit, disorder and loss scan the arm the flags describe: each
     # e_m is the scan of that ChainSpec.  A clean arm's couplings
     # kappa (r/d)^3 do not depend on the spacing r, so its exact E_m does
-    # not either; kappa and the register ratio move it
+    # not either, and only disorder, whose variance is in nm^2, takes
+    # --r-nm; kappa and the register ratio move every campaign
     def e_m(spec, t2_s=1e-3):
         return max_entanglement_scan(spec, NoiseSpec(t2_s=t2_s), n_samples=301).e_m
 
@@ -452,19 +464,21 @@ def test_campaigns_honour_the_arm_flags(tmp_path, arm, flags):
         assert values == [float(f"{x:.12g}") for x in expected]
 
     arm3 = ChainSpec(m_chain=3, **arm)
-    if "spacing_nm" in arm:
-        assert abs(e_m(arm3) - e_m(ChainSpec(m_chain=3))) < 1e-12
-    else:
+    every_campaign = "spacing_nm" not in arm
+    if every_campaign:
         assert e_m(arm3) != e_m(ChainSpec(m_chain=3))
+    else:
+        assert abs(e_m(arm3) - e_m(ChainSpec(m_chain=3))) < 1e-12
 
-    assert run_cli(tmp_path / "sweep", "sweep", "--ms", "3", *flags, *FAST) == EXIT_OK
-    same(_csv_column(tmp_path / "sweep" / "fig4b.csv", "e_m"), [e_m(arm3)])
+    if every_campaign:
+        assert run_cli(tmp_path / "sweep", "sweep", "--ms", "3", *flags, *FAST) == EXIT_OK
+        same(_csv_column(tmp_path / "sweep" / "fig4b.csv", "e_m"), [e_m(arm3)])
 
-    assert run_cli(tmp_path / "fit", "fit", "--ms", "3,4,5", "--t2s-ms", "0.5,1,2",
-                   *flags, *FAST) == EXIT_OK
-    same(_csv_column(tmp_path / "fit" / "emgrid.csv", "e_m"),
-         [e_m(ChainSpec(m_chain=m, **arm), t2 * 1e-3) for m in (3, 4, 5)
-          for t2 in (0.5, 1.0, 2.0)])
+        assert run_cli(tmp_path / "fit", "fit", "--ms", "3,4,5", "--t2s-ms", "0.5,1,2",
+                       *flags, *FAST) == EXIT_OK
+        same(_csv_column(tmp_path / "fit" / "emgrid.csv", "e_m"),
+             [e_m(ChainSpec(m_chain=m, **arm), t2 * 1e-3) for m in (3, 4, 5)
+              for t2 in (0.5, 1.0, 2.0)])
 
     assert run_cli(tmp_path / "dis", "disorder", "--ms", "3", "--runs", "2", *flags,
                    *FAST) == EXIT_OK
@@ -473,12 +487,96 @@ def test_campaigns_honour_the_arm_flags(tmp_path, arm, flags):
              mean_nm=arm3.spacing_nm, variance_nm2=0.25,
              seed=stable_seed(0, "disorder", 3, run)))) for run in range(2)])
 
-    assert run_cli(tmp_path / "loss", "loss", "--ms", "3", "--n-lost", "1", *flags,
-                   *FAST) == EXIT_OK
-    configs = sorted(loss_configurations(3, 1), key=sorted)
-    same(_csv_column(tmp_path / "loss" / "fig7b.csv", "mean_em"),
-         [float(np.mean([e_m(ChainSpec(m_chain=3, **arm, lost_sites=c))
-                         for c in configs]))])
+    if every_campaign:
+        assert run_cli(tmp_path / "loss", "loss", "--ms", "3", "--n-lost", "1", *flags,
+                       *FAST) == EXIT_OK
+        configs = sorted(loss_configurations(3, 1), key=sorted)
+        same(_csv_column(tmp_path / "loss" / "fig7b.csv", "mean_em"),
+             [float(np.mean([e_m(ChainSpec(m_chain=3, **arm, lost_sites=c))
+                             for c in configs]))])
+
+
+# Options that reached no output and are gone: a value given as a flag or
+# as a config-file key now exits 2
+REMOVED_OPTIONS = [("evolve", "method", "full"), ("wstate", "coupling", "2.5")] + [
+    (command, key, value)
+    for command in ("evolve", "scan", "sweep", "fit", "loss", "gradient")
+    for key, value in (("seed", "7"), ("r_nm", "20"))]
+
+
+@pytest.mark.parametrize("command, key, value", REMOVED_OPTIONS,
+                         ids=[f"{c}-{k}" for c, k, _ in REMOVED_OPTIONS])
+def test_removed_options_exit_2(tmp_path, capsys, command, key, value):
+    flag = "--" + key.replace("_", "-")
+    assert run_cli(tmp_path / "flag", command, flag, value) == EXIT_CONFIG
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    assert run_cli(tmp_path / "key", command, "--config", str(cfg)) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("spinstar-error code=2 kind=config")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+
+# A short run of every command, and one other valid value of each of its
+# keys.  r = 20 nm is byte-identical to 10 nm wherever the spacing
+# cancels; on the arm commands N only bounds the arm count, and N = 100
+# breaks the bound at every M <= 42, so it moves the exit code to 3
+KNOB_BASE = {
+    "spectrum": [],
+    "wstate": [],
+    "evolve": ["--m", "3", "--samples", "101"],
+    "scan": ["--m", "3", "--samples", "101"],
+    "sweep": ["--ms", "3", "--samples", "101"],
+    "fit": ["--ms", "3,4,5", "--t2s-ms", "0.5,1,2", "--samples", "101"],
+    "disorder": ["--ms", "3", "--runs", "2", "--samples", "101"],
+    "loss": ["--ms", "3", "--samples", "101"],
+    "gradient": ["--ms", "3", "--n-times", "16", "--samples", "101"],
+}
+KNOB_VALUES = {
+    "n": "100", "m": "4", "ms": "4", "coupling": "2.5", "outcome": "0", "r_nm": "20",
+    "delta_ratio": "0.7", "kappa_hz": "13e3", "t2_ms": "0.5", "t_end_kt": "30",
+    "samples": "102", "register_state": "one", "t2s_ms": "0.5,1,3", "runs": "3",
+    "variance": "0.5", "seed": "7", "n_lost": "1", "gx": "12", "gy": "12",
+    "d_nm": "60", "n_times": "17",
+}
+# the scan refines tau* exactly near the grid maximum, so on a short arm
+# `disorder` moves only when the grid gets too coarse to bracket the peak
+KNOB_OVERRIDES = {("spectrum", "n"): "5", ("wstate", "n"): "5", ("fit", "ms"): "3,4,6",
+                  ("disorder", "samples"): "11"}
+
+
+def _results(outdir):
+    """Output files but the manifest; scan.json without the parameters it
+    echoes by name."""
+    files = {}
+    for path in sorted(outdir.iterdir()) if outdir.exists() else ():
+        data = path.read_bytes()
+        if path.name == "scan.json":
+            doc = json.loads(data)
+            data = json.dumps({k: v for k, v in doc.items()
+                               if k != "config" and k not in DEFAULTS})
+        if path.name != "manifest.json":
+            files[path.name] = data
+    return files
+
+
+@pytest.mark.parametrize("command", list(KNOB_BASE))
+def test_every_key_moves_a_result(tmp_path, capsys, command):
+    # a key whose other value leaves the exit code and every output byte
+    # as they are reaches no result
+    base = KNOB_BASE[command]
+    want = (run_cli(tmp_path / "base", command, *base), _results(tmp_path / "base"))
+    assert want[0] == EXIT_OK
+    dead = []
+    for key in COMMAND_KEYS[command]:
+        value = KNOB_OVERRIDES.get((command, key), KNOB_VALUES[key])
+        out = tmp_path / key
+        got = run_cli(out, command, *base, "--" + key.replace("_", "-"), value)
+        if (got, _results(out)) == want:
+            dead.append(key)
+    capsys.readouterr()
+    assert dead == []
 
 
 def test_outputs_confined_to_outdir(tmp_path, monkeypatch):

@@ -39,9 +39,9 @@ def phased_pair(amplitude, phase):
     return amplitude * np.outer(psi, psi.conj()) + np.diag([1.0 - amplitude, 0, 0, 0])
 
 
-def estimate_gradient(times_s, series, gamma=GAMMA_NV, d_nm=50.0):
+def estimate_gradient(times_s, series, d_nm=50.0):
     """One series through the estimator that estimate_gradient_xy runs per axis."""
-    return _sinusoid_gradient(times_s, series, gamma, d_nm)
+    return _sinusoid_gradient(times_s, series, d_nm)
 
 
 # the readout grid of the `gradient` command at gx = 10: one period, 64 samples
@@ -205,7 +205,7 @@ def _coarse_em(spec, reverse=False):
     n = state0.n_sites
     prop = SectorPropagator(h1, NOISE)
     # whole blocks through the identity probes, read by partial trace
-    times, blocks, _, _ = prop.on_grid(state0.block11, default_window_s(spec),
+    times, blocks, _ = prop.on_grid(state0.block11, default_window_s(spec),
                                        FAST["n_samples"], np.eye(n * n))
     coh = prop.coherences(state0.block01, times)
     states = [SectorState(state0.block00, c, b) for c, b in zip(coh, blocks.reshape(-1, n, n))]
@@ -239,15 +239,16 @@ def test_gradient_coherence_ideal_pair_is_cosine():
 
 
 def test_gradient_coherence_offset_and_reference_cancel():
+    # only the separation of the registers reaches the readout: a common
+    # offset of both positions adds the same phase to |01> and |10>
     d = 50.0
     times = tuple(np.linspace(0, 1e-4, 32))
-    base = GradientSpec(gx=7.0, gy=3.0, d_nm=d, times_s=times)
-    shifted = GradientSpec(gx=7.0, gy=3.0, d_nm=d, times_s=times,
-                           b0_tesla=1e-3, omega0=2 * math.pi * 2.87e9)
+    grad = GradientSpec(gx=7.0, gy=3.0, d_nm=d, times_s=times)
     pair = ideal_bell_pair()
-    a = gradient_coherence(pair, base, (0, 0), (d, 0))
-    b = gradient_coherence(pair, shifted, (0, 0), (d, 0))
-    assert np.abs(a - b).max() < 1e-9
+    a = gradient_coherence(pair, grad, (0, 0), (d, 0))
+    for offset in ((30.0, -20.0), (-1e3, 2e3)):
+        b = gradient_coherence(pair, grad, offset, (offset[0] + d, offset[1]))
+        assert np.abs(a - b).max() < 1e-9
 
 
 def test_gradient_coherence_rejects_zero_separation():
@@ -270,7 +271,7 @@ def test_estimate_gradient_noiseless_exact():
         times = np.linspace(0, 4 * math.pi / w, 64) if grid == "two-periods" else CLI_GRID
         grad = GradientSpec(gx=g, gy=0.0, d_nm=d, times_s=tuple(times))
         series = gradient_coherence(pair, grad, (0.0, 0.0), (d, 0.0))
-        got = estimate_gradient(times, series, GAMMA_NV, d)
+        got = estimate_gradient(times, series, d)
         assert abs(got - g) / g < 1e-13, (g, grid, got)
 
 
@@ -279,7 +280,7 @@ def test_estimate_gradient_damped_amplitude():
     w = GAMMA_NV * g * d * 1e-9
     times = np.linspace(0, 4 * math.pi / w, 64)
     series = 0.4 * np.cos(w * times)
-    got = estimate_gradient(times, series, GAMMA_NV, d)
+    got = estimate_gradient(times, series, d)
     assert abs(got - g) / g < 1e-3
 
 
@@ -288,7 +289,7 @@ def test_estimate_gradient_rejects_weak_series():
     w = GAMMA_NV * g * d * 1e-9
     times = np.linspace(0, 4 * math.pi / w, 64)
     with pytest.raises(EstimationError):
-        estimate_gradient(times, 0.01 * np.cos(w * times), GAMMA_NV, d)
+        estimate_gradient(times, 0.01 * np.cos(w * times), d)
 
 
 def test_estimate_gradient_rejects_short_series():
@@ -308,7 +309,7 @@ def test_two_round_readout_equals_two_single_estimates(g):
 
     def single(axis):
         series = gradient_coherence(pair, grad, (0.0, 0.0), axis)
-        return estimate_gradient(times, series, grad.gamma, d)
+        return estimate_gradient(times, series, d)
 
     try:
         expected = (single((d, 0.0)), single((0.0, d)))

@@ -21,9 +21,8 @@ from spinstar.lindblad import (
     evolve,
     evolve_chain,
     initial_transfer_state,
-    site_populations,
 )
-from spinstar.qops import embed, partial_trace, pauli
+from spinstar.qops import partial_trace, pauli
 
 
 def ket2dm(psi):
@@ -44,10 +43,16 @@ def sector_grid(spec, noise, t_end=None, n_samples=101, register_state="plus"):
     state0 = initial_transfer_state(spec, register_state)
     n = state0.n_sites
     t_end = default_window_s(spec) if t_end is None else t_end
-    times, blocks, _, _ = prop.on_grid(state0.block11, t_end, n_samples, np.eye(n * n))
+    times, blocks, _ = prop.on_grid(state0.block11, t_end, n_samples, np.eye(n * n))
     coh = prop.coherences(state0.block01, times)
     return times, [SectorState(state0.block00, c, b)
                    for c, b in zip(coh, blocks.reshape(-1, n, n))]
+
+
+def advance(prop, block11, t):
+    """`block11` carried by `t` seconds through the propagator's own carry."""
+    vec = prop._carry(lindblad._real_form(block11).ravel(), t)
+    return lindblad._hermitian_form(vec.reshape(block11.shape))
 
 
 def series_at(table, span, offsets):
@@ -200,7 +205,7 @@ def test_long_chain_sector_run():
     prop = _arm_propagator(spec, noise)
     state0 = initial_transfer_state(spec)
     for k in (7, 58, 100):
-        direct = prop.advance(state0.block11, times[k])
+        direct = advance(prop, state0.block11, times[k])
         assert np.abs(states[k].block11 - direct).max() < 1e-12
 
 
@@ -303,13 +308,16 @@ def test_dense_branch_matches_expm_multiply(spec, t2, monkeypatch):
     probes = np.random.default_rng(spec.m_chain).normal(size=(n * n, 3))
     # the identity probes read whole blocks
     for rows in (np.eye(n * n), probes):
-        t_d, v_d, k_d, cols_d = dense.on_grid(state0.block11, window, 201, rows)
-        t_s, v_s, k_s, cols_s = sparse.on_grid(state0.block11, window, 201, rows)
+        t_d, v_d, k_d = dense.on_grid(state0.block11, window, 201, rows)
+        t_s, v_s, k_s = sparse.on_grid(state0.block11, window, 201, rows)
         assert np.array_equal(t_d, t_s) and k_d == k_s
         assert np.abs(v_d - v_s).max() < 1e-12 * max(1.0, np.abs(v_s).max())
-        assert np.abs(cols_d - cols_s).max() < 1e-12
+        # the blocks each grid keeps at its long strides, read by restart
+        for sample in range(0, 201, k_d):
+            a, b = dense.restart(sample, t_d[sample]), sparse.restart(sample, t_s[sample])
+            assert np.abs(a - b).max() < 1e-12
     for t in (0.0, window / 200, 0.37 * window):
-        a, b = dense.advance(state0.block11, t), sparse.advance(state0.block11, t)
+        a, b = advance(dense, state0.block11, t), advance(sparse, state0.block11, t)
         assert np.abs(a - b).max() < 1e-12
 
 
@@ -337,7 +345,7 @@ def test_dense_branch_matches_full_space_on_random_arms():
         state0 = initial_transfer_state(spec, register)
         t = full.times_s[k]
         direct = SectorState(state0.block00, prop.coherences(state0.block01, [t])[0],
-                             prop.advance(state0.block11, t)).to_full()
+                             advance(prop, state0.block11, t)).to_full()
         assert np.abs(direct - full.states[k]).max() < 1e-8, (spec, t2, register)
 
 
@@ -418,7 +426,7 @@ def test_probe_series_matches_advance(spec, t2, limit, monkeypatch):
     prop = _arm_propagator(spec, noise)
     assert prop.dense_grid == (limit > 0)
     window = default_window_s(spec)
-    start = prop.advance(initial_transfer_state(spec).block11, 0.3 * window)
+    start = advance(prop, initial_transfer_state(spec).block11, 0.3 * window)
     n = start.shape[0]
     rng = np.random.default_rng(spec.m_chain)
     probes = rng.normal(size=(n * n, 4))
@@ -427,7 +435,7 @@ def test_probe_series_matches_advance(spec, t2, limit, monkeypatch):
         assert (len(table) > 1) == several
         assert table.shape[1:] == (lindblad.SERIES_DEGREE + 1, 4)
         offsets = np.concatenate([[0.0, span], rng.uniform(0.0, span, 8)])
-        want = np.array([probes.T @ prop.advance(start, t).ravel() for t in offsets])
+        want = np.array([probes.T @ advance(prop, start, t).ravel() for t in offsets])
         got = series_at(table, span, offsets)
         assert np.abs(got - want).max() < 1e-12 * max(1.0, np.abs(want).max())
 
@@ -532,7 +540,7 @@ def test_chebyshev_recurrence_of_either_sign(t2, sign):
     window = default_window_s(spec)
     assert prop._chebyshev(window, np.ones(1))[1] == sign
     state0 = initial_transfer_state(spec)
-    got = prop.advance(state0.block11, window).ravel()
+    got = advance(prop, state0.block11, window).ravel()
     want = expm(_complex_liouvillian(spec, noise).toarray() * window) @ state0.block11.ravel()
     assert _close(got, want)
 
@@ -573,21 +581,22 @@ def test_chebyshev_branch_matches_dense_expm(spec, t2):
     if t2 >= 1e-6:
         grids.append((21, 5 * window))
     for n_samples, t_end in grids:
-        times, readings, k, cols = prop.on_grid(state0.block11, t_end, n_samples, probes)
+        times, readings, k = prop.on_grid(state0.block11, t_end, n_samples, probes)
         picks = sorted({1, n_samples // 3, n_samples - 1, int(rng.integers(n_samples))})
         want = np.array([expm(liouvillian * times[i]) @ b0 for i in picks])
         assert _close(readings[picks], want @ probes), (n_samples, t_end)
-        assert cols.shape == ((n_samples - 1) // k + 1, n, n)
-        i = len(cols) - 1
-        assert _close(cols[i].ravel(), expm(liouvillian * (i * k * times[1])) @ b0)
+        # the block the grid keeps at its last long stride, read by restart
+        i = (n_samples - 1) // k
+        assert _close(prop.restart(i * k, times[i * k]).ravel(),
+                      expm(liouvillian * (i * k * times[1])) @ b0)
         if n_samples == 201:
-            _, blocks, _, _ = prop.on_grid(state0.block11, t_end, n_samples, np.eye(n * n))
+            _, blocks, _ = prop.on_grid(state0.block11, t_end, n_samples, np.eye(n * n))
             assert _close(blocks[picks], want)
-    start = prop.advance(state0.block11, 0.3 * window)
+    start = advance(prop, state0.block11, 0.3 * window)
     b_start = start.ravel()
     assert _close(b_start, expm(liouvillian * (0.3 * window)) @ b0)
     for t in (0.0, window / 2000, 2 * window):
-        assert _close(prop.advance(start, t).ravel(), expm(liouvillian * t) @ b_start)
+        assert _close(advance(prop, start, t).ravel(), expm(liouvillian * t) @ b_start)
     table = prop.probe_series(start, window / 10, probes)
     offsets = np.concatenate([[window / 10], rng.uniform(0.0, window / 10, 3)])
     want = np.array([expm(liouvillian * t) @ b_start for t in offsets])
@@ -609,7 +618,7 @@ def test_chebyshev_pieces_stay_short_on_long_windows():
     n = state0.n_sites
     t_end = 100 * default_window_s(spec)
     tracemalloc.start()
-    _, blocks, _, _ = prop.on_grid(state0.block11, t_end, 2, np.eye(n * n))
+    _, blocks, _ = prop.on_grid(state0.block11, t_end, 2, np.eye(n * n))
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert peak < 10e6
@@ -631,12 +640,12 @@ def test_chebyshev_branch_matches_expm_multiply_at_m31():
     n = state0.n_sites
     probes = np.random.default_rng(31).normal(size=(n * n, 4))
     probes /= np.linalg.norm(probes, axis=0)
-    times, readings, _, _ = prop.on_grid(state0.block11, default_window_s(spec), 2001, probes)
+    times, readings, _ = prop.on_grid(state0.block11, default_window_s(spec), 2001, probes)
     picks = [1, 700, 1999, 2000]
     liouvillian = _complex_liouvillian(spec, noise)
     want = np.array([expm_multiply(liouvillian * times[i], b0) for i in picks])
     assert _close(readings[picks], want @ probes)
-    assert _close(prop.advance(state0.block11, times[700]).ravel(), want[1])
+    assert _close(advance(prop, state0.block11, times[700]).ravel(), want[1])
 
 
 def test_excitation_number_is_flat():
@@ -669,26 +678,11 @@ def test_self_convergence_when_tolerance_tightens():
     assert dev < 2e-8 * math.sqrt(4 ** n / (n + 1) ** 2)
 
 
-def test_site_populations_match_dense_operators():
-    # the populations read from the diagonal of the states against
-    # Tr(rho |1><1|_i); they sum to the excitation number
-    spec = ChainSpec(m_chain=3)
-    traj = evolve_chain(spec, NoiseSpec(t2_s=1e-3), n_samples=11)
-    pops = site_populations(traj)
-    excited = np.diag([0.0, 1.0])
-    for site in range(5):
-        dense = np.trace(traj.states @ embed(excited, site, 5), axis1=1, axis2=2)
-        assert np.abs(pops[:, site] - dense.real).max() < 1e-15
-    assert np.abs(pops.sum(axis=1) - 0.5).max() < 1e-8
-    assert abs(pops[0, 0] - 0.5) < 1e-15 and np.abs(pops[0, 1:]).max() < 1e-15
-
-
 def test_trajectory_time_axes():
     spec = ChainSpec(m_chain=3)
     traj = evolve_chain(spec, NoiseSpec(t2_s=1e-3), n_samples=11)
-    assert np.allclose(traj.times_kt, spec.kappa_angular * traj.times_s)
-    assert abs(traj.times_s[-1] - default_window_s(spec)) < 1e-15
-    assert abs(traj.times_kt[-1] - 40.0) < 1e-9
+    assert np.array_equal(traj.times_s, np.linspace(0.0, default_window_s(spec), 11))
+    assert abs(spec.kappa_angular * traj.times_s[-1] - 40.0) < 1e-9
 
 
 def test_evolve_rejects_bad_inputs():

@@ -50,7 +50,8 @@ def number_operator(n_sites):
 
 
 def spectrum_values(spec):
-    return np.sort([e for _, _, e in star_spectrum_analytic(spec)])
+    _, _, e, mult = np.array(star_spectrum_analytic(spec)).T
+    return np.sort(np.repeat(e, mult.astype(int)))
 
 
 def test_single_outer_spin_spectrum():
@@ -107,11 +108,14 @@ def test_index_construction_matches_operator_products(form):
 
 def test_analytic_level_examples():
     levels = star_spectrum_analytic(StarSpec(3, 1.0))
-    # the (j=3/2, m=1/2) pair sits at +-2
-    pm = sorted(e for j, m, e in levels if j == 1.5 and m == 0.5)
-    assert np.allclose(pm, [-2.0, 2.0])
-    # every m = -j entry contributes zero energy
-    assert all(e == 0 for j, m, e in levels if m == -j)
+    # the (j=3/2, m=1/2) pair sits at +-2, once each
+    pm = sorted((e, mult) for j, m, e, mult in levels if j == 1.5 and m == 0.5)
+    assert np.allclose(pm, [(-2.0, 1), (2.0, 1)])
+    # every m = -j entry is one zero-energy row holding both zero modes of
+    # its sector: j = 3/2 occurs once, j = 1/2 twice
+    zeros = {j: (e, mult) for j, m, e, mult in levels if m == -j}
+    assert zeros == {1.5: (0.0, 2), 0.5: (0.0, 4)}
+    assert sum(mult for *_, mult in levels) == 16
 
 
 def test_spectrum_matches_diagonalization_n5():
