@@ -47,29 +47,30 @@ EXIT_NUMERIC = 4
 
 ENV_OUTDIR = "SPINSTAR_OUTDIR"
 
-# Campaign defaults (field-proven operating point of the architecture).
-DEFAULTS = {
-    "n": 3,
-    "m": 3,
-    "ms": (3, 5, 7, 9, 11),
-    "r_nm": 10.0,
-    "delta_ratio": 0.9,
-    "kappa_hz": 26e3,
-    "t2_ms": 1.0,
-    "t2s_ms": (0.5, 1.0, 2.0),
-    "runs": 100,
-    "variance": 0.25,
-    "seed": 0,
-    "samples": 2001,
-    "t_end_kt": 0.0,        # 0 selects the automatic window
-    "register_state": "plus",
-    "coupling": 1.0,
-    "outcome": -1,          # -1 runs both central outcomes
-    "n_lost": 0,            # 0 runs both 1-loss and 2-loss
-    "gx": 10.0,
-    "gy": 10.0,
-    "d_nm": 50.0,
-    "n_times": 64,
+# Each key's (default, type, help); a tuple type is a comma-separated list of
+# its one element type.  The defaults are the field-proven operating point of
+# the architecture.
+KEYS = {
+    "n": (3, int, "outer-spin count N"),
+    "m": (3, int, "chain length M"),
+    "ms": ((3, 5, 7, 9, 11), (int,), "comma-separated chain lengths"),
+    "r_nm": (10.0, float, "lattice spacing r in nm"),
+    "delta_ratio": (0.9, float, "register coupling ratio delta/kappa"),
+    "kappa_hz": (26e3, float, "chain coupling kappa in Hz"),
+    "t2_ms": (1.0, float, "dephasing time T2 in ms"),
+    "t2s_ms": ((0.5, 1.0, 2.0), (float,), "comma-separated T2 grid in ms"),
+    "runs": (100, int, "Monte Carlo runs per point"),
+    "variance": (0.25, float, "spacing variance sigma^2 in nm^2"),
+    "seed": (0, int, "master seed"),
+    "samples": (2001, int, "time samples per scan"),
+    "t_end_kt": (0.0, float, "scan window in kappa*t; 0 = automatic"),
+    "register_state": ("plus", str, "register-0 preparation, plus|one"),
+    "coupling": (1.0, float, "star coupling lambda in rad/s"),
+    "outcome": (-1, int, "central-spin outcome, -1 = both"),
+    "n_lost": (0, int, "loss count 1|2, 0 = both"),
+    "gx": (10.0, float, "field gradient along x in T/m"),
+    "gy": (10.0, float, "field gradient along y in T/m"),
+    "n_times": (64, int, "sensing readout samples"),
 }
 
 # Each command takes only the keys that can change its outputs.  Distances
@@ -89,14 +90,9 @@ COMMAND_KEYS = {
                  "kappa_hz", "t2_ms", "samples", "register_state", "seed"),
     "loss": ("ms", "n", "n_lost", "delta_ratio", "kappa_hz", "t2_ms", "samples",
              "register_state"),
-    "gradient": ("ms", "n", "gx", "gy", "d_nm", "n_times", "delta_ratio",
-                 "kappa_hz", "t2_ms", "samples", "register_state"),
+    "gradient": ("ms", "n", "gx", "gy", "n_times", "delta_ratio", "kappa_hz", "t2_ms",
+                 "samples", "register_state"),
 }
-
-_INT_KEYS = {"n", "m", "runs", "seed", "samples", "outcome", "n_lost",
-             "n_times"}
-_TUPLE_KEYS = {"ms", "t2s_ms"}
-_STR_KEYS = {"register_state"}
 
 
 @dataclass(frozen=True)
@@ -113,21 +109,18 @@ class RunConfig:
         unknown = set(self.params) - allowed
         if unknown:
             raise ValueError(f"unknown keys for {self.command}: {sorted(unknown)}")
-        resolved = {k: DEFAULTS[k] for k in allowed}
+        resolved = {k: KEYS[k][0] for k in allowed}
         resolved.update({k: _coerce(k, v) for k, v in self.params.items()})
         object.__setattr__(self, "params", resolved)
 
 
 def _coerce(key: str, value):
-    if key in _TUPLE_KEYS:
+    kind = KEYS[key][1]
+    if isinstance(kind, tuple):
         if isinstance(value, str):
             value = value.split(",")
-        return tuple(float(v) if key == "t2s_ms" else int(v) for v in value)
-    if key in _INT_KEYS:
-        return int(value)
-    if key in _STR_KEYS:
-        return str(value)
-    return float(value)
+        return tuple(map(kind[0], value))
+    return kind(value)
 
 
 def parse_config_file(path: str) -> dict:
@@ -206,7 +199,6 @@ def write_manifest(outdir, cfg: RunConfig, outputs, wall_time: float,
         "config": {k: list(v) if isinstance(v, tuple) else v
                    for k, v in sorted(cfg.params.items())},
         "config_sha256": config_hash(cfg),
-        "seed": cfg.params.get("seed", 0),
         "tool_version": __version__,
         "wall_time_s": wall_time,
         "outputs": sorted(os.path.basename(p) for p in outputs),
@@ -218,14 +210,12 @@ def write_manifest(outdir, cfg: RunConfig, outputs, wall_time: float,
     return path
 
 
-def _chain_spec(p: dict, m=None, lost=frozenset(), disorder=None) -> ChainSpec:
+def _chain_spec(p: dict, m=None) -> ChainSpec:
     return ChainSpec(
         m_chain=int(m if m is not None else p["m"]),
-        spacing_nm=p.get("r_nm", DEFAULTS["r_nm"]),
+        spacing_nm=p.get("r_nm", KEYS["r_nm"][0]),
         delta_ratio=p["delta_ratio"],
         kappa_hz=p["kappa_hz"],
-        lost_sites=lost,
-        disorder=disorder,
     )
 
 
@@ -413,20 +403,20 @@ def _cmd_gradient(cfg: RunConfig, outdir: str) -> list:
     if not (math.isfinite(p["gx"]) and p["gx"] != 0 and math.isfinite(p["gy"])):
         raise ValueError(f"gx must be finite and nonzero and gy finite, "
                          f"got gx={p['gx']}, gy={p['gy']}")
-    if not 0 < p["d_nm"] < math.inf:
-        raise ValueError(f"d_nm must be positive and finite, got {p['d_nm']}")
     if p["n_times"] < 1:
         raise ValueError(f"n_times must be at least 1, got {p['n_times']}")
     _check_geometry(p, p["ms"])
     g_mag = math.hypot(p["gx"], p["gy"])
-    # one oscillation period of the x-axis pair, sampled densely
-    rate = GAMMA_NV * abs(p["gx"]) * p["d_nm"] * 1e-9
+    # one oscillation period of the x-axis pair, sampled densely: the phases
+    # on this grid do not depend on the pair separation, which keeps its default
+    d_nm = GradientSpec.d_nm
+    rate = GAMMA_NV * abs(p["gx"]) * d_nm * 1e-9
     times = tuple(np.linspace(0.0, 2 * math.pi / rate, p["n_times"]))
-    grad = GradientSpec(gx=p["gx"], gy=p["gy"], d_nm=p["d_nm"], times_s=times)
+    grad = GradientSpec(gx=p["gx"], gy=p["gy"], times_s=times)
     rows, estimates = [], {}
     for m in sorted(p["ms"]):
         pair = distributed_pair(_chain_spec(p, m=m), _noise(p), **_scan_kwargs(p))
-        series = gradient_coherence(pair, grad, (0.0, 0.0), (p["d_nm"], 0.0))
+        series = gradient_coherence(pair, grad, (0.0, 0.0), (d_nm, 0.0))
         gdt = rate * np.asarray(times)
         rows.append(((m,), (gdt, series)))
         try:
@@ -468,29 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "n": "outer-spin count N (default: %(d)s)",
-        "m": "chain length M (default: %(d)s)",
-        "ms": "comma-separated chain lengths (default: %(d)s)",
-        "r_nm": "lattice spacing r in nm (default: %(d)s)",
-        "delta_ratio": "register coupling ratio delta/kappa (default: %(d)s)",
-        "kappa_hz": "chain coupling kappa in Hz (default: %(d)s)",
-        "t2_ms": "dephasing time T2 in ms (default: %(d)s)",
-        "t2s_ms": "comma-separated T2 grid in ms (default: %(d)s)",
-        "runs": "Monte Carlo runs per point (default: %(d)s)",
-        "variance": "spacing variance sigma^2 in nm^2 (default: %(d)s)",
-        "seed": "master seed (default: %(d)s)",
-        "samples": "time samples per scan (default: %(d)s)",
-        "t_end_kt": "scan window in kappa*t; 0 = automatic (default: %(d)s)",
-        "register_state": "register-0 preparation, plus|one (default: %(d)s)",
-        "coupling": "star coupling lambda in rad/s (default: %(d)s)",
-        "outcome": "central-spin outcome, -1 = both (default: %(d)s)",
-        "n_lost": "loss count 1|2, 0 = both (default: %(d)s)",
-        "gx": "field gradient along x in T/m (default: %(d)s)",
-        "gy": "field gradient along y in T/m (default: %(d)s)",
-        "d_nm": "register pair separation in nm (default: %(d)s)",
-        "n_times": "sensing readout samples (default: %(d)s)",
-    }
     for command, keys in COMMAND_KEYS.items():
         cp = sub.add_parser(command, help=f"run the {command} campaign")
         cp.add_argument("--config", default=None,
@@ -499,9 +466,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help=f"output directory (default: ${ENV_OUTDIR} or cwd)")
         for key in keys:
             flag = "--" + key.replace("_", "-")
-            text = helps[key].replace("%(d)s", _fmt(DEFAULTS[key]) if not
-                                      isinstance(DEFAULTS[key], tuple) else
-                                      ",".join(map(str, DEFAULTS[key])))
+            default, _, text = KEYS[key]
+            shown = ",".join(map(str, default)) if isinstance(default, tuple) else _fmt(default)
+            text = f"{text} (default: {shown})"
             if key == "ms":
                 # --m doubles as the list flag on campaign commands
                 cp.add_argument("--ms", "--m", dest="ms", default=None, help=text)

@@ -97,53 +97,26 @@ def _check_support(p00, p11, p22, a01, a02, a12) -> None:
             f"register-pair state has an eigenvalue below -{_CLAMP_TOL:.0e}")
 
 
-def _support(vacuum, trace, pop0, pop_last, coh0, coh_last, b0l) -> tuple:
+def _support(vacuum, readings, coh) -> tuple:
     """(p00, p11, p22, a01, a02, a12): the diagonal of the register pair's
-    support on {00, 01, 10} and the entries above it, from the sector
-    entries it reads.
+    support on {00, 01, 10} and the entries above it.
 
-    `trace` is tr B, `pop0`/`pop_last` and `b0l` are B[0,0], B[n-1,n-1]
-    and B[0,n-1], `coh0`/`coh_last` the matching vacuum coherences.
-    """
-    return (vacuum + np.real(trace - pop0 - pop_last), np.real(pop_last), np.real(pop0),
-            np.conj(coh_last), np.conj(coh0), np.conj(b0l))
-
-
-def assert_sector_readings(vacuum, trace, pop0, pop_last, coh0, coh_last, b0l) -> None:
-    """Check the register-pair states of the sector readings of :func:`_support`.
-
-    Pairs built from readings (:func:`_pair_states`) are Hermitian and free
-    of |11> weight by construction, so only finiteness, the trace and the
-    seven principal minors of their support are checked, without building
+    `readings` are the probe readings of :func:`_probe_rows`, shape
+    (..., 4): tr B, B[0,0], B[n-1,n-1] and B[0,n-1]; `coh` the vacuum
+    coherences of sites 0 and n-1 at the same times, shape (..., 2).
+    Pairs built from them are Hermitian and free of |11> weight by
+    construction, so :func:`_check_support` checks them without building
     them.
     """
-    _check_support(*_support(vacuum, trace, pop0, pop_last, coh0, coh_last, b0l))
+    trace, pop0, pop_last, b0l = np.moveaxis(readings, -1, 0)
+    return (vacuum + np.real(trace - pop0 - pop_last), np.real(pop_last), np.real(pop0),
+            np.conj(coh[..., 1]), np.conj(coh[..., 0]), np.conj(b0l))
 
 
-def _sector_eof(vacuum, trace, pop0, pop_last, coh0, coh_last, b0l) -> np.ndarray:
-    """E_F of the register pairs of the sector readings of :func:`_support`.
-
-    Every pair passes :func:`assert_sector_readings`; E_F comes from the
-    concurrence 2|B[0,last]|, exact for pairs without |11> weight.  The
-    scan's grid and :func:`sector_series` are read through this one step.
-    """
-    assert_sector_readings(vacuum, trace, pop0, pop_last, coh0, coh_last, b0l)
-    return eof_from_concurrence(2.0 * np.abs(b0l))
-
-
-def _pair_states(vacuum, trace, pop0, pop_last, coh0, coh_last, b0l) -> np.ndarray:
-    """Register-pair states, shape (..., 4, 4), from the sector entries they
-    read (see :func:`_support`)."""
-    p00, p11, p22, a01, a02, a12 = _support(vacuum, trace, pop0, pop_last,
-                                            coh0, coh_last, b0l)
-    pair = np.zeros(np.shape(b0l) + (4, 4), dtype=complex)
-    pair[..., 0, 0] = p00
-    pair[..., 1, 1] = p11
-    pair[..., 2, 2] = p22
-    for (i, j), a in zip(((0, 1), (0, 2), (1, 2)), (a01, a02, a12)):
-        pair[..., i, j] = a
-        pair[..., j, i] = np.conj(a)
-    return pair
+def _pair_state(p00, p11, p22, a01, a02, a12) -> np.ndarray:
+    """The 4x4 register-pair state of one support (see :func:`_support`)."""
+    return np.array([[p00, a01, a02, 0], [np.conj(a01), p11, a12, 0],
+                     [np.conj(a02), np.conj(a12), p22, 0], [0, 0, 0, 0]], dtype=complex)
 
 
 def register_pair_state(traj: Trajectory, spec: ChainSpec | None = None) -> np.ndarray:
@@ -226,14 +199,6 @@ def _probe_rows(n: int) -> np.ndarray:
     return probes
 
 
-def _probe_readings(state0: SectorState, coh: np.ndarray, readings: np.ndarray) -> tuple:
-    """The sector readings of :func:`_support` from the probe readings and
-    the vacuum coherences `coh` of sites 0 and n-1, shape (N, 2), at the
-    same times."""
-    trace, pop0, pop_last, b0l = readings.T
-    return state0.block00, trace, pop0, pop_last, coh[:, 0], coh[:, 1], b0l
-
-
 def _arm(spec: ChainSpec, noise: NoiseSpec, register_state: str) -> tuple:
     """(propagator, initial sector state) of the transfer arm of `spec`."""
     prop = SectorPropagator(single_excitation_matrix(build_coupling_graph(spec)), noise)
@@ -242,9 +207,11 @@ def _arm(spec: ChainSpec, noise: NoiseSpec, register_state: str) -> tuple:
 
 def _grid_readings(prop: SectorPropagator, state0: SectorState, window: float,
                    n_samples: int) -> tuple:
-    """(times, readings, E_F): the sector readings of :func:`_support` on a
-    uniform grid over [0, window], and the E_F of their register pairs
-    (:func:`_sector_eof`).
+    """(times, readings, E_F): the probe readings of :func:`_probe_rows` on a
+    uniform grid over [0, window], and the E_F of their register pairs.
+
+    Every pair passes :func:`_check_support`; E_F comes from the
+    concurrence 2|B[0,last]|, exact for pairs without |11> weight.
 
     :meth:`SectorPropagator.on_grid` carries the four probe rows of
     :func:`_probe_rows` rather than the whole block, and
@@ -254,8 +221,8 @@ def _grid_readings(prop: SectorPropagator, state0: SectorState, window: float,
     n = state0.n_sites
     times, readings, k = prop.on_grid(state0.block11, window, n_samples, _probe_rows(n))
     coh = prop.grid_coherences(state0.block01, times[1], n_samples, k, [0, n - 1])
-    readings = _probe_readings(state0, coh, readings)
-    return times, readings, _sector_eof(*readings)
+    _check_support(*_support(state0.block00, readings, coh))
+    return times, readings, eof_from_concurrence(2.0 * np.abs(readings[:, 3]))
 
 
 def sector_series(
@@ -275,8 +242,8 @@ def sector_series(
     check_grid(window, n_samples)
     times, readings, efs = _grid_readings(*_arm(spec, noise, register_state), window,
                                           n_samples)
-    _, trace, pop0, pop_last = readings[:4]
-    return times, pop0.real, pop_last.real, trace.real, efs
+    trace, pop0, pop_last = readings[:, :3].T.real
+    return times, pop0, pop_last, trace, efs
 
 
 def max_entanglement_scan(
@@ -301,8 +268,8 @@ def max_entanglement_scan(
     square is a polynomial on each piece, so tau* is where
     :func:`_concurrence_peak` puts it, with no search tolerance.  The scan
     never reports less than the grid maximum, and the grid wins ties.  The
-    readings at tau* are checked by :func:`assert_sector_readings`, and
-    only the pair there is built as a 4x4 state.
+    readings at tau* are checked by :func:`_check_support`, and only
+    the pair there is built as a 4x4 state.
     """
     window = default_window_s(spec) if t_end is None else t_end
     check_grid(window, n_samples)
@@ -334,10 +301,10 @@ def max_entanglement_scan(
         u = (t_max - start) / width
         piece = min(int(u), len(series) - 1)
         x, tau_star, e_star = u - piece, t_max, float(efs[i_max])
-    coh = prop.coherences(state0.block01, [tau_star])[:, [0, -1]]
+    coh = prop.coherences(state0.block01, [tau_star])[0, [0, -1]]
     readings = x ** np.arange(SERIES_DEGREE + 1) @ series[piece]
-    sector = _probe_readings(state0, coh, readings[None])
-    assert_sector_readings(*sector)
+    support = _support(state0.block00, readings, coh)
+    _check_support(*support)
 
     insert = int(np.searchsorted(times, tau_star))
     curve_t = np.insert(times, insert, tau_star)
@@ -350,6 +317,6 @@ def max_entanglement_scan(
         curve_ef=curve_e,
         interior=interior,
         extended=extended,
-        pair_state=_pair_states(sector[0], *(v[-1] for v in sector[1:])),
+        pair_state=_pair_state(*support),
         kappa_angular=kappa,
     )

@@ -7,11 +7,11 @@ import pytest
 from spinstar.chain import ChainSpec, DisorderSpec, loss_configurations
 from spinstar.cli import (
     COMMAND_KEYS,
-    DEFAULTS,
     EXIT_CONFIG,
     EXIT_NUMERIC,
     EXIT_OK,
     EXIT_PHYSICS,
+    KEYS,
     RunConfig,
     build_parser,
     config_hash,
@@ -31,13 +31,14 @@ def run_cli(tmp_path, *args):
 
 
 def test_defaults_mirror_operating_point():
-    assert DEFAULTS["r_nm"] == 10.0
-    assert DEFAULTS["delta_ratio"] == 0.9
-    assert DEFAULTS["kappa_hz"] == 26e3
-    assert DEFAULTS["t2_ms"] == 1.0
-    assert DEFAULTS["runs"] == 100
-    assert DEFAULTS["variance"] == 0.25
-    assert DEFAULTS["n"] == 3
+    defaults = {key: row[0] for key, row in KEYS.items()}
+    assert defaults["r_nm"] == 10.0
+    assert defaults["delta_ratio"] == 0.9
+    assert defaults["kappa_hz"] == 26e3
+    assert defaults["t2_ms"] == 1.0
+    assert defaults["runs"] == 100
+    assert defaults["variance"] == 0.25
+    assert defaults["n"] == 3
 
 
 def test_runconfig_rejects_unknown_keys():
@@ -84,8 +85,9 @@ def test_scan_outputs_and_determinism(tmp_path):
     assert doc["tau_star_kt"] > 0
     man1 = json.loads((out1 / "manifest.json").read_text())
     man2 = json.loads((out2 / "manifest.json").read_text())
-    for key in ("command", "config", "config_sha256", "seed", "outputs"):
+    for key in ("command", "config", "config_sha256", "outputs"):
         assert man1[key] == man2[key]
+    assert "seed" not in man1
 
 
 def test_manifest_config_reparses_to_equal_runconfig(tmp_path):
@@ -286,6 +288,10 @@ def test_disorder_campaign(tmp_path):
     assert len(rows) == 2
     runs = (tmp_path / "disorder_runs.csv").read_text().strip().splitlines()
     assert len(runs) == 4
+    # the seed reaches the manifest only through the hashed config
+    man = json.loads((tmp_path / "manifest.json").read_text())
+    assert "seed" not in man
+    assert man["config"]["seed"] == 5
 
 
 def test_gradient_campaign(tmp_path):
@@ -302,7 +308,6 @@ def test_gradient_campaign(tmp_path):
 
 @pytest.mark.parametrize("flags", [
     ["--gx", "0"], ["--gx", "nan"], ["--gx", "inf"], ["--gy", "nan"], ["--gy=-inf"],
-    ["--d-nm", "0"], ["--d-nm", "-50"], ["--d-nm", "nan"], ["--d-nm", "inf"],
 ], ids=lambda flags: "".join(flags).lstrip("-"))
 def test_gradient_rejects_bad_field_and_separation_before_scanning(
         tmp_path, capsys, monkeypatch, flags):
@@ -402,6 +407,21 @@ def test_readme_library_example_runs():
     assert namespace["prob"] == pytest.approx(0.5)
 
 
+def test_readme_key_table_lists_the_command_keys():
+    # each row of the README's key table names its commands and their keys
+    import pathlib
+    import re
+
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    head = "| command | keys"
+    rows = readme[readme.index(head):].split("\n\n", 1)[0].splitlines()[2:]
+    documented = {}
+    for row in rows:
+        commands, keys = (re.findall(r"`(\w+)`", cell) for cell in row.split("|")[1:3])
+        documented.update((command, tuple(keys)) for command in commands)
+    assert documented == COMMAND_KEYS
+
+
 def test_fit_campaign(tmp_path):
     code = run_cli(tmp_path, "fit", "--ms", "3,4,5", "--t2s-ms", "0.5,1,2",
                    *FAST)
@@ -498,7 +518,8 @@ def test_campaigns_honour_the_arm_flags(tmp_path, arm, flags):
 
 # Options that reached no output and are gone: a value given as a flag or
 # as a config-file key now exits 2
-REMOVED_OPTIONS = [("evolve", "method", "full"), ("wstate", "coupling", "2.5")] + [
+REMOVED_OPTIONS = [("evolve", "method", "full"), ("wstate", "coupling", "2.5"),
+                   ("gradient", "d_nm", "60")] + [
     (command, key, value)
     for command in ("evolve", "scan", "sweep", "fit", "loss", "gradient")
     for key, value in (("seed", "7"), ("r_nm", "20"))]
@@ -538,7 +559,7 @@ KNOB_VALUES = {
     "delta_ratio": "0.7", "kappa_hz": "13e3", "t2_ms": "0.5", "t_end_kt": "30",
     "samples": "102", "register_state": "one", "t2s_ms": "0.5,1,3", "runs": "3",
     "variance": "0.5", "seed": "7", "n_lost": "1", "gx": "12", "gy": "12",
-    "d_nm": "60", "n_times": "17",
+    "n_times": "17",
 }
 # the scan refines tau* exactly near the grid maximum, so on a short arm
 # `disorder` moves only when the grid gets too coarse to bracket the peak
@@ -555,7 +576,7 @@ def _results(outdir):
         if path.name == "scan.json":
             doc = json.loads(data)
             data = json.dumps({k: v for k, v in doc.items()
-                               if k != "config" and k not in DEFAULTS})
+                               if k != "config" and k not in KEYS})
         if path.name != "manifest.json":
             files[path.name] = data
     return files

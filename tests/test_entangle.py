@@ -13,8 +13,8 @@ from spinstar.chain import (
 from spinstar.entangle import (
     EmResult,
     _check_support,
-    _pair_states,
-    assert_sector_readings,
+    _pair_state,
+    _support,
     concurrence,
     eof,
     eof_from_concurrence,
@@ -88,8 +88,19 @@ def assert_sector_pairs(pairs):
 def pair_state_from_sector(state):
     """Register-pair state of one SectorState, read entry by entry."""
     b, last = state.block11, state.n_sites - 1
-    return _pair_states(state.block00, np.trace(b), b[0, 0], b[last, last],
-                        state.block01[0], state.block01[last], b[0, last])
+    readings = np.array([np.trace(b), b[0, 0], b[last, last], b[0, last]])
+    return _pair_state(*_support(state.block00, readings, state.block01[[0, last]]))
+
+
+def check_readings(vacuum, readings, coh):
+    """The scan's check of the register pairs of sector readings."""
+    _check_support(*_support(vacuum, readings, coh))
+
+
+def pair_states(vacuum, readings, coh):
+    """The register-pair states of a stack of sector readings, shape (K, 4, 4)."""
+    return np.stack([_pair_state(*_support(v, r, c))
+                     for v, r, c in zip(vacuum, readings, coh)])
 
 
 def sector_grid(prop, state0, t_end, n_samples):
@@ -461,15 +472,15 @@ def test_closed_form_check_rejects_what_the_identity_needs():
 
 
 def _readings_of(rng, rho):
-    """Sector readings whose pair state (:func:`_pair_states`) is `rho`, up
-    to rounding, with tr B above the two register populations and a
-    rounding-sized imaginary part on the real readings."""
+    """Sector readings (vacuum, probe readings, coherences) whose pair
+    state is `rho`, up to rounding, with tr B above the two register
+    populations and a rounding-sized imaginary part on the real readings."""
     pop0, pop_last = rho[2, 2].real, rho[1, 1].real
     trace = pop0 + pop_last + rng.uniform(0.0, 0.3)
     vacuum = rho[0, 0].real - (trace - pop0 - pop_last)
     noise = 1j * rng.normal(scale=1e-15, size=3)
-    return (vacuum, trace + noise[0], pop0 + noise[1], pop_last + noise[2],
-            rho[2, 0], rho[1, 0], rho[2, 1])
+    readings = np.array([trace + noise[0], pop0 + noise[1], pop_last + noise[2], rho[2, 1]])
+    return vacuum, readings, np.array([rho[2, 0], rho[1, 0]])
 
 
 def _verdict(check, *args):
@@ -490,9 +501,9 @@ def test_readings_check_agrees_with_the_stack_check():
         low = -1e-7 + (1e-9 if k % 2 else -1e-9)
         mid = rng.uniform(0.05, 0.6)
         readings = _readings_of(rng, _support_state(rng, np.array([low, mid, 1.0 - low - mid])))
-        pair = _pair_states(*readings)
+        pair = _pair_state(*_support(*readings))
         accept = np.linalg.eigvalsh(pair).min() >= -1e-7
-        assert _verdict(assert_sector_readings, *readings) == accept, k
+        assert _verdict(check_readings, *readings) == accept, k
         assert _verdict(assert_sector_pairs, pair) == accept, k
         verdicts.append(accept)
         stack.append(readings)
@@ -500,29 +511,39 @@ def test_readings_check_agrees_with_the_stack_check():
     # as stacks of readings: all good pass, one bad one fails the stack
     good = [r for r, ok in zip(stack, verdicts) if ok]
     columns = [np.array(c) for c in zip(*good)]
-    assert_sector_readings(*columns)
-    assert_sector_pairs(_pair_states(*columns))
+    check_readings(*columns)
+    assert_sector_pairs(pair_states(*columns))
     columns = [np.array(c) for c in zip(*good, stack[verdicts.index(False)])]
-    for check, args in ((assert_sector_readings, columns),
-                        (assert_sector_pairs, [_pair_states(*columns)])):
+    for check, args in ((check_readings, columns),
+                        (assert_sector_pairs, [pair_states(*columns)])):
         with pytest.raises(IntegrationError):
             check(*args)
+
+
+def _corrupt(readings, i, change):
+    """`readings` with the i-th of its seven values, in the order vacuum,
+    tr B, B[0,0], B[last,last], B[0,last], coherences of 0 and last,
+    passed through `change`."""
+    vacuum, probes, coh = readings[0], readings[1].copy(), readings[2].copy()
+    if i == 0:
+        vacuum = change(vacuum)
+    elif i < 5:
+        probes[i - 1] = change(probes[i - 1])
+    else:
+        coh[i - 5] = change(coh[i - 5])
+    return vacuum, probes, coh
 
 
 def test_readings_check_rejects_non_finite_readings_and_a_bad_trace():
     rng = np.random.default_rng(8)
     readings = _readings_of(rng, _support_state(rng, np.array([0.1, 0.3, 0.6])))
-    assert_sector_readings(*readings)
+    check_readings(*readings)
     for i in range(7):
-        corrupt = list(readings)
-        corrupt[i] = np.nan
         with pytest.raises(IntegrationError, match="not finite"):
-            assert_sector_readings(*corrupt)
+            check_readings(*_corrupt(readings, i, lambda v: np.nan))
     for i in (0, 1):     # the vacuum and tr B both enter the trace
-        corrupt = list(readings)
-        corrupt[i] = corrupt[i] + 1e-6
         with pytest.raises(IntegrationError, match="trace"):
-            assert_sector_readings(*corrupt)
+            check_readings(*_corrupt(readings, i, lambda v: v + 1e-6))
 
 
 def test_refinement_checks_every_visited_state(monkeypatch):
