@@ -308,6 +308,8 @@ def test_gradient_campaign(tmp_path):
 
 @pytest.mark.parametrize("flags", [
     ["--gx", "0"], ["--gx", "nan"], ["--gx", "inf"], ["--gy", "nan"], ["--gy=-inf"],
+    # the separation is retired: any --d-nm is refused before a scan
+    ["--d-nm", "0"], ["--d-nm", "-50"], ["--d-nm", "nan"], ["--d-nm", "inf"],
 ], ids=lambda flags: "".join(flags).lstrip("-"))
 def test_gradient_rejects_bad_field_and_separation_before_scanning(
         tmp_path, capsys, monkeypatch, flags):
@@ -316,7 +318,11 @@ def test_gradient_rejects_bad_field_and_separation_before_scanning(
 
     monkeypatch.setattr("spinstar.cli.distributed_pair", no_scan)
     assert run_cli(tmp_path, "gradient", "--ms", "3", *flags) == EXIT_CONFIG
-    assert capsys.readouterr().err.startswith("spinstar-error code=2 kind=config")
+    err = capsys.readouterr().err
+    if flags[0] == "--d-nm":
+        assert f"unrecognized arguments: {' '.join(flags)}" in err
+    else:
+        assert err.startswith("spinstar-error code=2 kind=config")
     assert not (tmp_path / "gradient.json").exists()
 
 
