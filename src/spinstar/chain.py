@@ -27,19 +27,17 @@ class GeometryError(ValueError):
 
 @dataclass(frozen=True)
 class DisorderSpec:
-    """Normal spacing disorder: chain spacings ~ N(mean_nm, variance_nm2).
+    """Normal spacing disorder: chain spacings ~ N(r, variance_nm2), with r
+    the arm's `spacing_nm`.
 
     Register gaps stay fixed: registers are implanted independently of
     the chain.
     """
 
-    mean_nm: float = 10.0
     variance_nm2: float = 0.25
     seed: int = 0
 
     def __post_init__(self):
-        if not self.mean_nm > 0:
-            raise ValueError("mean_nm must be positive")
         if self.variance_nm2 < 0:
             raise ValueError("variance_nm2 must be nonnegative")
 
@@ -156,7 +154,7 @@ def build_geometry(spec: ChainSpec) -> Geometry:
 
         def draw() -> float:
             for _ in range(_MAX_RESAMPLES):
-                x = float(rng.normal(dis.mean_nm, sigma))
+                x = float(rng.normal(r, sigma))
                 if x > 0:
                     return x
             raise GeometryError("could not sample a positive spacing")
@@ -242,8 +240,6 @@ def loss_configurations(m_chain: int, n_lost: int) -> list[frozenset]:
     """
     if n_lost not in (1, 2):
         raise ValueError("n_lost must be 1 or 2")
-    if m_chain < n_lost:
-        raise ValueError("chain shorter than the requested loss count")
     out = []
     if n_lost == 1:
         return [frozenset({s}) for s in range(1, m_chain + 1)]

@@ -1,8 +1,9 @@
 """Command-line front end: seeded campaign drivers with CSV/JSON emission.
 
 Each subcommand validates its configuration (file plus overriding flags),
-checks arm-count geometry before simulating, runs the campaign, and
-writes its output files plus a manifest into the output directory.
+checks arm-count geometry before simulating and runs the campaign.  Only
+once the whole campaign has run are its output files and a manifest
+written into the output directory, so a command that fails writes none.
 
 Exit codes: 0 success, 2 invalid configuration, 3 physics rejection
 (inadmissible geometry or loss pattern), 4 numerical failure.
@@ -191,23 +192,15 @@ def write_csv(path, header, blocks) -> None:
                                  zip(*(c.tolist() for c in columns), strict=True))))
 
 
-def write_manifest(outdir, cfg: RunConfig, outputs, wall_time: float,
-                   notes=()) -> str:
-    path = os.path.join(outdir, "manifest.json")
-    payload = {
-        "command": cfg.command,
-        "config": {k: list(v) if isinstance(v, tuple) else v
-                   for k, v in sorted(cfg.params.items())},
-        "config_sha256": config_hash(cfg),
-        "tool_version": __version__,
-        "wall_time_s": wall_time,
-        "outputs": sorted(os.path.basename(p) for p in outputs),
-        "notes": list(notes),
-    }
+def _write(path: str, content) -> None:
+    """One output file: a ``(header, blocks)`` table for a ``.csv`` path
+    (see :func:`write_csv`), else a JSON document."""
+    if path.endswith(".csv"):
+        write_csv(path, *content)
+        return
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(content, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return path
 
 
 def _chain_spec(p: dict, m=None) -> ChainSpec:
@@ -243,9 +236,13 @@ def _scan_kwargs(p: dict) -> dict:
 
 
 # -- command handlers --------------------------------------------------------
+#
+# Each handler takes the resolved parameters and returns (files, notes):
+# `files` maps each output file name to its content, for :func:`_write`, and
+# `notes` lists the lines for the manifest.  A handler writes nothing, so a
+# command that fails leaves no file behind.
 
-def _cmd_spectrum(cfg: RunConfig, outdir: str) -> list:
-    p = cfg.params
+def _cmd_spectrum(p: dict) -> tuple:
     counted: dict = {}
     for j, m, e, mult in star_spectrum_analytic(StarSpec(p["n"], p["coupling"])):
         key = (j, m, round(e, 12))
@@ -253,14 +250,12 @@ def _cmd_spectrum(cfg: RunConfig, outdir: str) -> list:
     if max(counted.values()) > np.iinfo(np.uint64).max:
         raise ValueError(f"N={p['n']}: level multiplicities exceed the 64-bit "
                          "integer column of spectrum.csv")
-    path = os.path.join(outdir, "spectrum.csv")
-    write_csv(path, ["j", "m", "energy", "multiplicity"],
-              [((), ([j], [m], [e], [c])) for (j, m, e), c in sorted(counted.items())])
-    return [path]
+    return {"spectrum.csv": (
+        ["j", "m", "energy", "multiplicity"],
+        [((), ([j], [m], [e], [c])) for (j, m, e), c in sorted(counted.items())])}, []
 
 
-def _cmd_wstate(cfg: RunConfig, outdir: str) -> list:
-    p = cfg.params
+def _cmd_wstate(p: dict) -> tuple:
     spec = StarSpec(p["n"])
     outcomes = (0, 1) if p["outcome"] == -1 else (p["outcome"],)
     report = {}
@@ -273,63 +268,44 @@ def _cmd_wstate(cfg: RunConfig, outdir: str) -> list:
             "excitations": k,
             "fidelity": float(abs(np.vdot(target, state)) ** 2),
         }
-    path = os.path.join(outdir, "wstate.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return [path]
+    return {"wstate.json": report}, []
 
 
-def _cmd_evolve(cfg: RunConfig, outdir: str) -> list:
-    p = cfg.params
+def _cmd_evolve(p: dict) -> tuple:
     _check_geometry(p, [p["m"]])
     spec = _chain_spec(p)
     times, pop0, pop_last, n_exc, e_f = sector_series(spec, _noise(p), **_scan_kwargs(p))
-    path = os.path.join(outdir, "evolve.csv")
-    write_csv(path, ["time_kt", "time_s", "pop_register0", "pop_register_end",
-                     "n_exc", "e_f"],
-              [((), (spec.kappa_angular * times, times, pop0, pop_last, n_exc, e_f))])
-    return [path]
+    return {"evolve.csv": (
+        ["time_kt", "time_s", "pop_register0", "pop_register_end", "n_exc", "e_f"],
+        [((), (spec.kappa_angular * times, times, pop0, pop_last, n_exc, e_f))])}, []
 
 
-def _cmd_scan(cfg: RunConfig, outdir: str) -> list:
-    p = cfg.params
+def _cmd_scan(p: dict) -> tuple:
     _check_geometry(p, [p["m"]])
     result = max_entanglement_scan(_chain_spec(p), _noise(p), **_scan_kwargs(p))
-    curve_path = os.path.join(outdir, "fig3.csv")
     kt = result.curve_kt
-    write_csv(curve_path, ["tau_kt", "tau_s", "e_f"],
-              [((), (kt, kt / result.kappa_angular, result.curve_ef))])
-    summary_path = os.path.join(outdir, "scan.json")
-    payload = result.summary()
-    payload.update({"m": p["m"], "t2_ms": p["t2_ms"],
-                    "config": {k: list(v) if isinstance(v, tuple) else v
-                               for k, v in sorted(p.items())}})
-    with open(summary_path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return [curve_path, summary_path]
+    summary = result.summary()
+    summary.update({"m": p["m"], "t2_ms": p["t2_ms"], "config": p})
+    return {"fig3.csv": (["tau_kt", "tau_s", "e_f"],
+                         [((), (kt, kt / result.kappa_angular, result.curve_ef))]),
+            "scan.json": summary}, []
 
 
-def _cmd_sweep(cfg: RunConfig, outdir: str) -> list:
-    p = cfg.params
+def _cmd_sweep(p: dict) -> tuple:
     _check_geometry(p, p["ms"])
     points = sweep_length(p["ms"], _noise(p), n_outer=p["n"], base_spec=_base_spec(p),
                           **_scan_kwargs(p))
     points = sorted(points, key=lambda pt: pt.m_chain)
-    a_path = os.path.join(outdir, "fig4a.csv")
-    write_csv(a_path, ["m", "tau_kt", "e_f"],
-              [((pt.m_chain,), (pt.result.curve_kt, pt.result.curve_ef))
-               for pt in points])
-    b_path = os.path.join(outdir, "fig4b.csv")
-    write_csv(b_path, ["m", "tau_star_kt", "tau_star_s", "e_m"],
-              [((pt.m_chain,), ([pt.result.tau_star_kt], [pt.result.tau_star_s],
-                                [pt.e_m])) for pt in points])
-    return [a_path, b_path]
+    return {"fig4a.csv": (["m", "tau_kt", "e_f"],
+                          [((pt.m_chain,), (pt.result.curve_kt, pt.result.curve_ef))
+                           for pt in points]),
+            "fig4b.csv": (["m", "tau_star_kt", "tau_star_s", "e_m"],
+                          [((pt.m_chain,), ([pt.result.tau_star_kt],
+                                            [pt.result.tau_star_s], [pt.e_m]))
+                           for pt in points])}, []
 
 
-def _cmd_fit(cfg: RunConfig, outdir: str) -> list:
-    p = cfg.params
+def _cmd_fit(p: dict) -> tuple:
     if len(set(p["ms"])) < 3 or len(set(p["t2s_ms"])) < 3:
         raise ValueError(f"fit needs at least 3 distinct lengths and 3 distinct t2 "
                          f"values, got ms={p['ms']}, t2s_ms={p['t2s_ms']}")
@@ -341,37 +317,29 @@ def _cmd_fit(cfg: RunConfig, outdir: str) -> list:
                                **_scan_kwargs(p)):
             grid.append((pt.m_chain, t2_ms, pt.e_m))
     grid.sort()
-    grid_path = os.path.join(outdir, "emgrid.csv")
-    write_csv(grid_path, ["m", "t2_ms", "e_m"],
-              [((m,), ([t2_ms], [em])) for m, t2_ms, em in grid])
     fit = fit_exponential([(m, t2_ms * 1e-3, em) for m, t2_ms, em in grid])
-    fit_path = os.path.join(outdir, "fit.json")
-    with open(fit_path, "w", encoding="utf-8") as fh:
-        json.dump({"prefactor": fit.prefactor, "a": fit.a, "b": fit.b,
-                   "residual_rms_log": fit.residual}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return [grid_path, fit_path]
+    return {"emgrid.csv": (["m", "t2_ms", "e_m"],
+                           [((m,), ([t2_ms], [em])) for m, t2_ms, em in grid]),
+            "fit.json": {"prefactor": fit.prefactor, "a": fit.a, "b": fit.b,
+                         "residual_rms_log": fit.residual}}, []
 
 
-def _cmd_disorder(cfg: RunConfig, outdir: str) -> list:
-    p = cfg.params
+def _cmd_disorder(p: dict) -> tuple:
     _check_geometry(p, p["ms"])
     table = disorder_monte_carlo(p["ms"], _noise(p), runs=p["runs"],
                                  variance=p["variance"], seed=p["seed"],
                                  base_spec=_base_spec(p), **_scan_kwargs(p))
     table = sorted(table, key=lambda row: row.m_chain)
-    path = os.path.join(outdir, "fig6.csv")
-    write_csv(path, ["m", "mean_em", "std_em"],
-              [((row.m_chain,), ([row.mean_em], [row.std_em])) for row in table])
-    runs_path = os.path.join(outdir, "disorder_runs.csv")
-    write_csv(runs_path, ["m", "run", "e_m"],
-              [((row.m_chain,), (np.arange(len(row.values)), np.array(row.values)))
-               for row in table])
-    return [path, runs_path]
+    return {"fig6.csv": (["m", "mean_em", "std_em"],
+                         [((row.m_chain,), ([row.mean_em], [row.std_em]))
+                          for row in table]),
+            "disorder_runs.csv": (["m", "run", "e_m"],
+                                  [((row.m_chain,), (np.arange(len(row.values)),
+                                                     np.array(row.values)))
+                                   for row in table])}, []
 
 
-def _cmd_loss(cfg: RunConfig, outdir: str) -> tuple[list, list]:
-    p = cfg.params
+def _cmd_loss(p: dict) -> tuple:
     if p["n_lost"] not in (0, 1, 2):
         raise ValueError(f"n_lost must be 0, 1 or 2, got {p['n_lost']}")
     _check_geometry(p, p["ms"])
@@ -379,9 +347,6 @@ def _cmd_loss(cfg: RunConfig, outdir: str) -> tuple[list, list]:
     b_rows, cd_rows, notes = [], [], []
     for m in sorted(p["ms"]):
         for n_lost in n_losts:
-            if m < n_lost or (n_lost == 2 and m < 3):
-                notes.append(f"m={m} n_lost={n_lost}: no admissible configurations")
-                continue
             report = loss_study(int(m), _noise(p), n_lost,
                                 base_spec=_base_spec(p), **_scan_kwargs(p))
             if report.expectation is None:
@@ -391,15 +356,11 @@ def _cmd_loss(cfg: RunConfig, outdir: str) -> tuple[list, list]:
             cd_rows += [((m, n_lost, "+".join(map(str, cfg_sites))),
                          (res.curve_kt, res.curve_ef))
                         for cfg_sites, res in zip(report.configs, report.results)]
-    b_path = os.path.join(outdir, "fig7b.csv")
-    write_csv(b_path, ["m", "n_lost", "mean_em"], b_rows)
-    cd_path = os.path.join(outdir, "fig7cd.csv")
-    write_csv(cd_path, ["m", "n_lost", "lost_sites", "tau_kt", "e_f"], cd_rows)
-    return [b_path, cd_path], notes
+    return {"fig7b.csv": (["m", "n_lost", "mean_em"], b_rows),
+            "fig7cd.csv": (["m", "n_lost", "lost_sites", "tau_kt", "e_f"], cd_rows)}, notes
 
 
-def _cmd_gradient(cfg: RunConfig, outdir: str) -> list:
-    p = cfg.params
+def _cmd_gradient(p: dict) -> tuple:
     if not (math.isfinite(p["gx"]) and p["gx"] != 0 and math.isfinite(p["gy"])):
         raise ValueError(f"gx must be finite and nonzero and gy finite, "
                          f"got gx={p['gx']}, gy={p['gy']}")
@@ -425,14 +386,9 @@ def _cmd_gradient(cfg: RunConfig, outdir: str) -> list:
                                  "amplitude": float(2 * abs(pair[1, 2]))}
         except EstimationError as exc:
             estimates[str(m)] = {"error": str(exc)}
-    path = os.path.join(outdir, "fig8b.csv")
-    write_csv(path, ["m", "gamma_g_d_t", "coherence"], rows)
-    est_path = os.path.join(outdir, "gradient.json")
-    with open(est_path, "w", encoding="utf-8") as fh:
-        json.dump({"true": {"gx": p["gx"], "gy": p["gy"], "magnitude": g_mag},
-                   "estimates": estimates}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return [path, est_path]
+    return {"fig8b.csv": (["m", "gamma_g_d_t", "coherence"], rows),
+            "gradient.json": {"true": {"gx": p["gx"], "gy": p["gy"], "magnitude": g_mag},
+                              "estimates": estimates}}, []
 
 
 _HANDLERS = {
@@ -489,13 +445,14 @@ def _resolve_config(args) -> RunConfig:
 
 
 def run(cfg: RunConfig, outdir: str) -> tuple[list, list]:
-    """Execute a resolved configuration; returns (output paths, notes)."""
+    """Execute a resolved configuration, then write its files into `outdir`;
+    returns (output paths, notes)."""
     os.makedirs(outdir, exist_ok=True)
-    handler = _HANDLERS[cfg.command]
-    result = handler(cfg, outdir)
-    if isinstance(result, tuple):
-        return result
-    return result, []
+    files, notes = _HANDLERS[cfg.command](cfg.params)
+    paths = [os.path.join(outdir, name) for name in files]
+    for path, content in zip(paths, files.values()):
+        _write(path, content)
+    return paths, notes
 
 
 def main(argv=None) -> int:
@@ -515,6 +472,16 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         outputs, notes = run(cfg, outdir)
+        manifest = os.path.join(outdir, "manifest.json")
+        _write(manifest, {
+            "command": cfg.command,
+            "config": cfg.params,
+            "config_sha256": config_hash(cfg),
+            "tool_version": __version__,
+            "wall_time_s": time.monotonic() - started,
+            "outputs": sorted(os.path.basename(p) for p in outputs),
+            "notes": notes,
+        })
     except GeometryError as exc:
         print(f"spinstar-error code={EXIT_PHYSICS} kind=geometry msg={exc}",
               file=sys.stderr)
@@ -523,12 +490,11 @@ def main(argv=None) -> int:
         print(f"spinstar-error code={EXIT_NUMERIC} kind=numeric msg={exc}",
               file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
+        # an unusable --outdir is a configuration error, as is a bad --config
         print(f"spinstar-error code={EXIT_CONFIG} kind=config msg={exc}",
               file=sys.stderr)
         return EXIT_CONFIG
-    wall = time.monotonic() - started
-    manifest = write_manifest(outdir, cfg, outputs, wall, notes)
     for path in [*outputs, manifest]:
         print(path)
     return EXIT_OK

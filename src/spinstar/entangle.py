@@ -202,7 +202,7 @@ def _probe_rows(n: int) -> np.ndarray:
 def _arm(spec: ChainSpec, noise: NoiseSpec, register_state: str) -> tuple:
     """(propagator, initial sector state) of the transfer arm of `spec`."""
     prop = SectorPropagator(single_excitation_matrix(build_coupling_graph(spec)), noise)
-    return prop, initial_transfer_state(spec, register_state, form="sector")
+    return prop, initial_transfer_state(spec, register_state)
 
 
 def _grid_readings(prop: SectorPropagator, state0: SectorState, window: float,

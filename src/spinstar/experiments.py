@@ -41,7 +41,6 @@ def stable_seed(master: int, purpose: str, *indices: int) -> int:
 @dataclass(frozen=True)
 class LengthPoint:
     m_chain: int
-    t2_s: float
     result: EmResult
 
     @property
@@ -69,9 +68,8 @@ def sweep_length(
         if not validate_star_geometry(n_outer, m):
             raise GeometryError(
                 f"N={n_outer}, M={m} violates the arm-count bound")
-    return [LengthPoint(m, noise.t2_s,
-                        max_entanglement_scan(_spec_for_length(m, base_spec), noise,
-                                              **scan_kwargs))
+    return [LengthPoint(m, max_entanglement_scan(_spec_for_length(m, base_spec), noise,
+                                                 **scan_kwargs))
             for m in ms]
 
 
@@ -176,7 +174,7 @@ def disorder_monte_carlo(
         base = _spec_for_length(m, base_spec)
         values = []
         for run in range(runs):
-            dis = DisorderSpec(mean_nm=base.spacing_nm, variance_nm2=variance,
+            dis = DisorderSpec(variance_nm2=variance,
                                seed=stable_seed(seed, "disorder", m, run))
             values.append(max_entanglement_scan(replace(base, disorder=dis), noise,
                                                 **scan_kwargs).e_m)

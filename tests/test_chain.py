@@ -199,6 +199,8 @@ def test_loss_configurations_pairs_against_brute_force():
 
 
 def test_loss_configurations_empty():
+    # no admissible set: an arm too short for the count, or for a gap
+    assert loss_configurations(1, 2) == []
     assert loss_configurations(2, 2) == []
 
 

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from spinstar import cli, experiments
 from spinstar.chain import ChainSpec, DisorderSpec, loss_configurations
 from spinstar.cli import (
     COMMAND_KEYS,
@@ -13,6 +14,8 @@ from spinstar.cli import (
     EXIT_PHYSICS,
     KEYS,
     RunConfig,
+    _HANDLERS,
+    _resolve_config,
     build_parser,
     config_hash,
     main,
@@ -20,7 +23,7 @@ from spinstar.cli import (
 )
 from spinstar.entangle import eof, max_entanglement_scan, register_pair_state
 from spinstar.experiments import stable_seed
-from spinstar.lindblad import NoiseSpec, SectorPropagator, evolve_chain
+from spinstar.lindblad import IntegrationError, NoiseSpec, SectorPropagator, evolve_chain
 from spinstar.star import StarSpec, star_spectrum_analytic
 
 FAST = ["--samples", "301"]
@@ -258,12 +261,14 @@ def test_sweep_outputs_sorted_by_length(tmp_path):
 
 
 def test_empty_loss_report(tmp_path):
-    code = run_cli(tmp_path, "loss", "--ms", "2", "--n-lost", "2", *FAST)
+    # an arm shorter than the loss count, or with no room for a gap
+    # between two losses, has no admissible configuration
+    code = run_cli(tmp_path, "loss", "--ms", "1,2", "--n-lost", "2", *FAST)
     assert code == EXIT_OK
     rows = (tmp_path / "fig7b.csv").read_text().strip().splitlines()
     assert rows == ["m,n_lost,mean_em"]
     man = json.loads((tmp_path / "manifest.json").read_text())
-    assert any("no admissible configurations" in note for note in man["notes"])
+    assert man["notes"] == [f"m={m} n_lost=2: no admissible configurations" for m in (1, 2)]
 
 
 def test_loss_outputs(tmp_path):
@@ -510,8 +515,8 @@ def test_campaigns_honour_the_arm_flags(tmp_path, arm, flags):
                    *FAST) == EXIT_OK
     same(_csv_column(tmp_path / "dis" / "disorder_runs.csv", "e_m"),
          [e_m(ChainSpec(m_chain=3, **arm, disorder=DisorderSpec(
-             mean_nm=arm3.spacing_nm, variance_nm2=0.25,
-             seed=stable_seed(0, "disorder", 3, run)))) for run in range(2)])
+             variance_nm2=0.25, seed=stable_seed(0, "disorder", 3, run))))
+          for run in range(2)])
 
     if every_campaign:
         assert run_cli(tmp_path / "loss", "loss", "--ms", "3", "--n-lost", "1", *flags,
@@ -604,6 +609,102 @@ def test_every_key_moves_a_result(tmp_path, capsys, command):
             dead.append(key)
     capsys.readouterr()
     assert dead == []
+
+
+OUTPUTS = {
+    "spectrum": ["spectrum.csv"],
+    "wstate": ["wstate.json"],
+    "evolve": ["evolve.csv"],
+    "scan": ["fig3.csv", "scan.json"],
+    "sweep": ["fig4a.csv", "fig4b.csv"],
+    "fit": ["emgrid.csv", "fit.json"],
+    "disorder": ["fig6.csv", "disorder_runs.csv"],
+    "loss": ["fig7b.csv", "fig7cd.csv"],
+    "gradient": ["fig8b.csv", "gradient.json"],
+}
+
+
+@pytest.mark.parametrize("command", list(KNOB_BASE))
+def test_handlers_return_their_files_and_open_none(monkeypatch, command):
+    # one writer: a handler returns each file's content by name, a CSV as
+    # its (header, blocks) and anything else as a JSON document, and only
+    # `run` puts them on disk
+    def no_open(*args, **kwargs):
+        raise AssertionError("a command handler opened a file")
+
+    params = _resolve_config(build_parser().parse_args([command, *KNOB_BASE[command]])).params
+    monkeypatch.setattr("spinstar.cli.open", no_open, raising=False)
+    files, notes = _HANDLERS[command](params)
+    assert list(files) == OUTPUTS[command]
+    assert [isinstance(content, tuple) for content in files.values()] == [
+        name.endswith(".csv") for name in files]
+    assert notes == []
+
+
+def test_fit_without_usable_points_writes_no_file(tmp_path, capsys):
+    # at T2 of a few fs every e_m is 0, so the fit fails after its nine
+    # scans; the grid it scanned is not left behind
+    with pytest.warns(UserWarning, match="nonpositive"):
+        assert run_cli(tmp_path, "fit", "--ms", "3,5,7", "--t2s-ms", "1e-9,2e-9,3e-9",
+                       "--samples", "101") == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("spinstar-error code=2 kind=config")
+    assert list(tmp_path.iterdir()) == []
+
+
+CAMPAIGNS = {
+    "sweep": ["--ms", "3,5"],
+    "fit": ["--ms", "3,4,5", "--t2s-ms", "0.5,1,2"],
+    "disorder": ["--ms", "3", "--runs", "2"],
+    "loss": ["--ms", "3", "--n-lost", "1"],
+    "gradient": ["--ms", "3,5"],
+}
+
+
+@pytest.mark.parametrize("command", list(CAMPAIGNS))
+def test_campaign_failing_in_its_second_scan_writes_no_file(tmp_path, capsys, monkeypatch,
+                                                            command):
+    # a campaign's files are written only once all of it has run
+    scan, calls = experiments.max_entanglement_scan, []
+
+    def second_fails(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            raise IntegrationError("injected failure in the second scan")
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "max_entanglement_scan", second_fails)
+    assert run_cli(tmp_path, command, *CAMPAIGNS[command], "--samples", "101") == EXIT_NUMERIC
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("spinstar-error code=4 kind=numeric")
+    assert len(calls) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("where", ["file", "under-file", "name-taken"])
+def test_unusable_outdir_exits_2(tmp_path, capsys, monkeypatch, where):
+    # an outdir that is a file or lies under one fails before any scan; an
+    # output name taken by a directory fails at the write.  Each is one
+    # configuration error line, with nothing written
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    outdir = {"file": blocker, "under-file": blocker / "out",
+              "name-taken": tmp_path / "out"}[where]
+    if where == "name-taken":
+        (outdir / "fig3.csv").mkdir(parents=True)
+    scan, scanned = cli.max_entanglement_scan, []
+
+    def recorded(*args, **kwargs):
+        scanned.append(args)
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "max_entanglement_scan", recorded)
+    before = sorted(tmp_path.rglob("*"))
+    assert main(["scan", "--m", "3", *FAST, "--outdir", str(outdir)]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("spinstar-error code=2 kind=config")
+    assert sorted(tmp_path.rglob("*")) == before
+    assert bool(scanned) == (where == "name-taken")
 
 
 def test_outputs_confined_to_outdir(tmp_path, monkeypatch):

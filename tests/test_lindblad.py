@@ -72,7 +72,7 @@ def test_noise_spec_rate():
 
 def test_initial_state_full_form():
     spec = ChainSpec(m_chain=3)
-    rho = initial_transfer_state(spec, form="full")
+    rho = initial_transfer_state(spec).to_full()
     assert rho.shape == (32, 32)
     psi_diag = np.sqrt(np.diag(rho).real)
     nonzero = np.nonzero(psi_diag > 1e-12)[0]
@@ -83,7 +83,7 @@ def test_initial_state_full_form():
 
 
 def test_initial_state_sector_form():
-    state = initial_transfer_state(ChainSpec(m_chain=4), form="sector")
+    state = initial_transfer_state(ChainSpec(m_chain=4))
     assert state.block00 == 0.5
     assert np.allclose(state.block01, [0.5, 0, 0, 0, 0, 0])
     expected = np.zeros((6, 6))
@@ -102,7 +102,7 @@ def test_initial_state_excitation_mode():
 def test_sector_full_roundtrip():
     # to_full places the blocks on the vacuum and the one-excitation states
     spec = ChainSpec(m_chain=2)
-    state = initial_transfer_state(spec, form="sector")
+    state = initial_transfer_state(spec)
     rho = state.to_full()
     idx = [2 ** (state.n_sites - 1 - i) for i in range(state.n_sites)]
     assert abs(rho[0, 0] - state.block00) < 1e-14
@@ -646,6 +646,28 @@ def test_chebyshev_branch_matches_expm_multiply_at_m31():
     want = np.array([expm_multiply(liouvillian * times[i], b0) for i in picks])
     assert _close(readings[picks], want @ probes)
     assert _close(advance(prop, state0.block11, times[700]).ravel(), want[1])
+
+
+def test_chebyshev_tables_one_coefficient_set_per_call(monkeypatch):
+    # the first piece count whose rounding growth passes is taken, so no
+    # table of Bessel coefficients is formed only to be thrown away: a scan
+    # of the longest default arm carries its grid and its refinement start
+    # with one table each
+    calls = {"pieces": 0, "series": 0}
+    piece, chebyshev = lindblad._chebyshev_piece, SectorPropagator._chebyshev
+
+    def counted_piece(*args):
+        calls["pieces"] += 1
+        return piece(*args)
+
+    def counted_chebyshev(self, *args):
+        calls["series"] += 1
+        return chebyshev(self, *args)
+
+    monkeypatch.setattr(lindblad, "_chebyshev_piece", counted_piece)
+    monkeypatch.setattr(SectorPropagator, "_chebyshev", counted_chebyshev)
+    max_entanglement_scan(ChainSpec(m_chain=31), NoiseSpec(t2_s=1e-3), n_samples=301)
+    assert calls == {"pieces": 2, "series": 2}
 
 
 def test_excitation_number_is_flat():
