@@ -194,13 +194,17 @@ def write_csv(path, header, blocks) -> None:
 
 def _write(path: str, content) -> None:
     """One output file: a ``(header, blocks)`` table for a ``.csv`` path
-    (see :func:`write_csv`), else a JSON document."""
-    if path.endswith(".csv"):
-        write_csv(path, *content)
-        return
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(content, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    (see :func:`write_csv`), else a JSON document.  A file that cannot be
+    written is a configuration error (exit 2), named as a failed write."""
+    try:
+        if path.endswith(".csv"):
+            write_csv(path, *content)
+            return
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(content, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        raise ValueError(f"cannot write output {path}: {exc}") from exc
 
 
 def _chain_spec(p: dict, m=None) -> ChainSpec:
@@ -447,7 +451,10 @@ def _resolve_config(args) -> RunConfig:
 def run(cfg: RunConfig, outdir: str) -> tuple[list, list]:
     """Execute a resolved configuration, then write its files into `outdir`;
     returns (output paths, notes)."""
-    os.makedirs(outdir, exist_ok=True)
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"cannot create --outdir {outdir}: {exc}") from exc
     files, notes = _HANDLERS[cfg.command](cfg.params)
     paths = [os.path.join(outdir, name) for name in files]
     for path, content in zip(paths, files.values()):
@@ -490,8 +497,7 @@ def main(argv=None) -> int:
         print(f"spinstar-error code={EXIT_NUMERIC} kind=numeric msg={exc}",
               file=sys.stderr)
         return EXIT_NUMERIC
-    except (ValueError, OSError) as exc:
-        # an unusable --outdir is a configuration error, as is a bad --config
+    except ValueError as exc:
         print(f"spinstar-error code={EXIT_CONFIG} kind=config msg={exc}",
               file=sys.stderr)
         return EXIT_CONFIG

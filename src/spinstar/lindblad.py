@@ -360,12 +360,11 @@ def _join(readings: np.ndarray) -> np.ndarray:
 #   exp(c h) >= e^-64 and the Chebyshev vectors (~rho^k) stay far inside
 #   the double range.
 #
-# The smallest piece count that meets both is taken.  On grids of 2001
-# samples it also forms the fewest products L_R @ v; on a coarse grid at
-# T2 between microseconds and 0.5 ms a piece's order is set by its decay,
-# and a larger count can form fewer.  Errors add over pieces: against scipy's dense
-# expm they stay below 1e-12 relative over five default windows down to
-# T2 = 1 us, and over one window down to T2 = 0.1 us (tests/test_lindblad.py).
+# Among the piece counts that meet both, the one with the fewest products
+# L_R @ v is taken.  Errors add over pieces: against scipy's dense expm
+# they stay below 1e-12 relative over five default windows down to
+# T2 = 1 us, and over one window down to T2 = 0.1 us
+# (tests/test_lindblad.py).
 CHEB_GROWTH_MAX = 32.0
 CHEB_DECAY_MAX = 64.0
 
@@ -560,15 +559,20 @@ class SectorPropagator:
         X and sign -1 for real f, Y = (L_R - c)/g and sign +1 for
         f = i g.  r starts where a piece decays by at most
         exp(-CHEB_DECAY_MAX) and doubles while the rounding growth exceeds
-        CHEB_GROWTH_MAX; the first count that passes is taken.
+        CHEB_GROWTH_MAX; of the counts that pass, the one with the fewest
+        products, r times the order, is taken.
         """
         width = float(self.energies.max() - self.energies.min())
         r = max(1, math.ceil(2.0 * self.gamma * span / CHEB_DECAY_MAX))
+        best = None
         while True:
             f, coef, growth = _chebyshev_piece(width, self.gamma, span / r, fractions)
             if growth <= CHEB_GROWTH_MAX:
-                break
+                if best is not None and r * coef.shape[1] >= best[0] * best[2].shape[1]:
+                    break
+                best = (r, f, coef)
             r *= 2
+        r, f, coef = best
         sign = 1.0 if isinstance(f, complex) else -1.0
         y = self._shifted * (1.0 / abs(f))
         return r, sign, y, y * 2.0, coef

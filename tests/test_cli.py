@@ -685,7 +685,8 @@ def test_campaign_failing_in_its_second_scan_writes_no_file(tmp_path, capsys, mo
 def test_unusable_outdir_exits_2(tmp_path, capsys, monkeypatch, where):
     # an outdir that is a file or lies under one fails before any scan; an
     # output name taken by a directory fails at the write.  Each is one
-    # configuration error line, with nothing written
+    # configuration error line that names the failed step, with nothing
+    # written
     blocker = tmp_path / "blocker"
     blocker.write_text("")
     outdir = {"file": blocker, "under-file": blocker / "out",
@@ -703,8 +704,22 @@ def test_unusable_outdir_exits_2(tmp_path, capsys, monkeypatch, where):
     assert main(["scan", "--m", "3", *FAST, "--outdir", str(outdir)]) == EXIT_CONFIG
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("spinstar-error code=2 kind=config")
+    step = "cannot write output" if where == "name-taken" else "cannot create --outdir"
+    assert f"msg={step} " in err[0]
     assert sorted(tmp_path.rglob("*")) == before
     assert bool(scanned) == (where == "name-taken")
+
+
+def test_os_error_in_a_computation_is_not_a_configuration_error(tmp_path, monkeypatch):
+    # only creating the outdir and writing the outputs turn an OSError into
+    # exit 2; one raised while computing is not taken for bad configuration
+    def fails(*args, **kwargs):
+        raise OSError("injected failure in the scan")
+
+    monkeypatch.setattr(cli, "max_entanglement_scan", fails)
+    with pytest.raises(OSError, match="injected"):
+        main(["scan", "--m", "3", *FAST, "--outdir", str(tmp_path)])
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_outputs_confined_to_outdir(tmp_path, monkeypatch):

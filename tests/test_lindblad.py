@@ -648,26 +648,25 @@ def test_chebyshev_branch_matches_expm_multiply_at_m31():
     assert _close(advance(prop, state0.block11, times[700]).ravel(), want[1])
 
 
-def test_chebyshev_tables_one_coefficient_set_per_call(monkeypatch):
-    # the first piece count whose rounding growth passes is taken, so no
-    # table of Bessel coefficients is formed only to be thrown away: a scan
-    # of the longest default arm carries its grid and its refinement start
-    # with one table each
-    calls = {"pieces": 0, "series": 0}
-    piece, chebyshev = lindblad._chebyshev_piece, SectorPropagator._chebyshev
-
-    def counted_piece(*args):
-        calls["pieces"] += 1
-        return piece(*args)
-
-    def counted_chebyshev(self, *args):
-        calls["series"] += 1
-        return chebyshev(self, *args)
-
-    monkeypatch.setattr(lindblad, "_chebyshev_piece", counted_piece)
-    monkeypatch.setattr(SectorPropagator, "_chebyshev", counted_chebyshev)
-    max_entanglement_scan(ChainSpec(m_chain=31), NoiseSpec(t2_s=1e-3), n_samples=301)
-    assert calls == {"pieces": 2, "series": 2}
+def test_chebyshev_takes_the_piece_count_with_fewest_products():
+    # one carry over a default window at T2 = 10 us: a piece's order is set
+    # by its decay, so the first count whose growth passes is not the
+    # cheapest, and the search goes on to the count with the fewest
+    # products L_R @ v
+    spec = ChainSpec(m_chain=31)
+    prop = _arm_propagator(spec, NoiseSpec(t2_s=1e-5))
+    span, fractions = default_window_s(spec), np.ones(1)
+    r, _, _, _, coef = prop._chebyshev(span, fractions)
+    width = float(prop.energies.max() - prop.energies.min())
+    count = max(1, math.ceil(2.0 * prop.gamma * span / lindblad.CHEB_DECAY_MAX))
+    products = {}
+    while count <= 4 * r:
+        _, table, growth = lindblad._chebyshev_piece(width, prop.gamma, span / count, fractions)
+        if growth <= lindblad.CHEB_GROWTH_MAX:
+            products[count] = count * table.shape[1]
+        count *= 2
+    assert min(products) < r
+    assert r * coef.shape[1] == min(products.values())
 
 
 def test_excitation_number_is_flat():
