@@ -9,6 +9,12 @@ campaigns, and field-gradient sensing on the distributed pair.
 
 __version__ = "0.1.0"
 
+import os
+
+# one BLAS thread unless set, or a result's last digit can vary with the host
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from .chain import ChainSpec
 from .entangle import max_entanglement_scan
 from .lindblad import NoiseSpec

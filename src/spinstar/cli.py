@@ -31,12 +31,10 @@ from .experiments import (
     GradientSpec,
     GAMMA_NV,
     disorder_monte_carlo,
-    distributed_pair,
     estimate_gradient_xy,
     fit_exponential,
     gradient_coherence,
     loss_study,
-    sweep_length,
 )
 from .lindblad import IntegrationError, NoiseSpec
 from .star import StarSpec, dicke_state, star_spectrum_analytic, w_state_protocol
@@ -207,28 +205,20 @@ def _write(path: str, content) -> None:
         raise ValueError(f"cannot write output {path}: {exc}") from exc
 
 
-def _chain_spec(p: dict, m=None) -> ChainSpec:
-    return ChainSpec(
-        m_chain=int(m if m is not None else p["m"]),
-        spacing_nm=p.get("r_nm", KEYS["r_nm"][0]),
-        delta_ratio=p["delta_ratio"],
-        kappa_hz=p["kappa_hz"],
-    )
-
-
-def _base_spec(p: dict) -> ChainSpec:
-    """Spacing and couplings of a campaign; the campaign sets each length."""
-    return _chain_spec(p, m=1)
+def _arms(p: dict) -> list[ChainSpec]:
+    """The command's arms (`m`, or each of `ms`) in ascending M.  Each length
+    is checked against the arm-count bound, in the order given, before any is built."""
+    ms = p["ms"] if "ms" in p else (p["m"],)
+    for m in ms:
+        if not validate_star_geometry(p["n"], m):
+            raise GeometryError(f"N={p['n']}, M={m} violates the arm-count bound")
+    return [ChainSpec(m_chain=m, spacing_nm=p.get("r_nm", KEYS["r_nm"][0]),
+                      delta_ratio=p["delta_ratio"], kappa_hz=p["kappa_hz"])
+            for m in sorted(ms)]
 
 
 def _noise(p: dict) -> NoiseSpec:
     return NoiseSpec(t2_s=p["t2_ms"] * 1e-3)
-
-
-def _check_geometry(p: dict, ms) -> None:
-    for m in ms:
-        if not validate_star_geometry(p["n"], int(m)):
-            raise GeometryError(f"N={p['n']}, M={m} violates the arm-count bound")
 
 
 def _scan_kwargs(p: dict) -> dict:
@@ -276,8 +266,7 @@ def _cmd_wstate(p: dict) -> tuple:
 
 
 def _cmd_evolve(p: dict) -> tuple:
-    _check_geometry(p, [p["m"]])
-    spec = _chain_spec(p)
+    [spec] = _arms(p)
     times, pop0, pop_last, n_exc, e_f = sector_series(spec, _noise(p), **_scan_kwargs(p))
     return {"evolve.csv": (
         ["time_kt", "time_s", "pop_register0", "pop_register_end", "n_exc", "e_f"],
@@ -285,8 +274,8 @@ def _cmd_evolve(p: dict) -> tuple:
 
 
 def _cmd_scan(p: dict) -> tuple:
-    _check_geometry(p, [p["m"]])
-    result = max_entanglement_scan(_chain_spec(p), _noise(p), **_scan_kwargs(p))
+    [spec] = _arms(p)
+    result = max_entanglement_scan(spec, _noise(p), **_scan_kwargs(p))
     kt = result.curve_kt
     summary = result.summary()
     summary.update({"m": p["m"], "t2_ms": p["t2_ms"], "config": p})
@@ -296,31 +285,24 @@ def _cmd_scan(p: dict) -> tuple:
 
 
 def _cmd_sweep(p: dict) -> tuple:
-    _check_geometry(p, p["ms"])
-    points = sweep_length(p["ms"], _noise(p), n_outer=p["n"], base_spec=_base_spec(p),
-                          **_scan_kwargs(p))
-    points = sorted(points, key=lambda pt: pt.m_chain)
+    arms = _arms(p)
+    noise, kw = _noise(p), _scan_kwargs(p)
+    scans = [(arm.m_chain, max_entanglement_scan(arm, noise, **kw)) for arm in arms]
     return {"fig4a.csv": (["m", "tau_kt", "e_f"],
-                          [((pt.m_chain,), (pt.result.curve_kt, pt.result.curve_ef))
-                           for pt in points]),
+                          [((m,), (res.curve_kt, res.curve_ef)) for m, res in scans]),
             "fig4b.csv": (["m", "tau_star_kt", "tau_star_s", "e_m"],
-                          [((pt.m_chain,), ([pt.result.tau_star_kt],
-                                            [pt.result.tau_star_s], [pt.e_m]))
-                           for pt in points])}, []
+                          [((m,), ([res.tau_star_kt], [res.tau_star_s], [res.e_m]))
+                           for m, res in scans])}, []
 
 
 def _cmd_fit(p: dict) -> tuple:
     if len(set(p["ms"])) < 3 or len(set(p["t2s_ms"])) < 3:
         raise ValueError(f"fit needs at least 3 distinct lengths and 3 distinct t2 "
                          f"values, got ms={p['ms']}, t2s_ms={p['t2s_ms']}")
-    _check_geometry(p, p["ms"])
-    grid = []
-    for t2_ms in p["t2s_ms"]:
-        noise = NoiseSpec(t2_s=t2_ms * 1e-3)
-        for pt in sweep_length(p["ms"], noise, n_outer=p["n"], base_spec=_base_spec(p),
-                               **_scan_kwargs(p)):
-            grid.append((pt.m_chain, t2_ms, pt.e_m))
-    grid.sort()
+    arms = _arms(p)
+    noises = [(t2_ms, NoiseSpec(t2_s=t2_ms * 1e-3)) for t2_ms in sorted(p["t2s_ms"])]
+    grid = [(arm.m_chain, t2_ms, max_entanglement_scan(arm, noise, **_scan_kwargs(p)).e_m)
+            for arm in arms for t2_ms, noise in noises]
     fit = fit_exponential([(m, t2_ms * 1e-3, em) for m, t2_ms, em in grid])
     return {"emgrid.csv": (["m", "t2_ms", "e_m"],
                            [((m,), ([t2_ms], [em])) for m, t2_ms, em in grid]),
@@ -329,11 +311,10 @@ def _cmd_fit(p: dict) -> tuple:
 
 
 def _cmd_disorder(p: dict) -> tuple:
-    _check_geometry(p, p["ms"])
-    table = disorder_monte_carlo(p["ms"], _noise(p), runs=p["runs"],
+    arms = _arms(p)
+    table = disorder_monte_carlo([arm.m_chain for arm in arms], _noise(p), runs=p["runs"],
                                  variance=p["variance"], seed=p["seed"],
-                                 base_spec=_base_spec(p), **_scan_kwargs(p))
-    table = sorted(table, key=lambda row: row.m_chain)
+                                 base_spec=arms[0], **_scan_kwargs(p))
     return {"fig6.csv": (["m", "mean_em", "std_em"],
                          [((row.m_chain,), ([row.mean_em], [row.std_em]))
                           for row in table]),
@@ -346,13 +327,13 @@ def _cmd_disorder(p: dict) -> tuple:
 def _cmd_loss(p: dict) -> tuple:
     if p["n_lost"] not in (0, 1, 2):
         raise ValueError(f"n_lost must be 0, 1 or 2, got {p['n_lost']}")
-    _check_geometry(p, p["ms"])
+    arms = _arms(p)
     n_losts = (1, 2) if p["n_lost"] == 0 else (p["n_lost"],)
     b_rows, cd_rows, notes = [], [], []
-    for m in sorted(p["ms"]):
+    for arm in arms:
+        m = arm.m_chain
         for n_lost in n_losts:
-            report = loss_study(int(m), _noise(p), n_lost,
-                                base_spec=_base_spec(p), **_scan_kwargs(p))
+            report = loss_study(m, _noise(p), n_lost, base_spec=arm, **_scan_kwargs(p))
             if report.expectation is None:
                 notes.append(f"m={m} n_lost={n_lost}: no admissible configurations")
                 continue
@@ -370,7 +351,7 @@ def _cmd_gradient(p: dict) -> tuple:
                          f"got gx={p['gx']}, gy={p['gy']}")
     if p["n_times"] < 1:
         raise ValueError(f"n_times must be at least 1, got {p['n_times']}")
-    _check_geometry(p, p["ms"])
+    arms = _arms(p)
     g_mag = math.hypot(p["gx"], p["gy"])
     # one oscillation period of the x-axis pair, sampled densely: the phases
     # on this grid do not depend on the pair separation, which keeps its default
@@ -379,8 +360,9 @@ def _cmd_gradient(p: dict) -> tuple:
     times = tuple(np.linspace(0.0, 2 * math.pi / rate, p["n_times"]))
     grad = GradientSpec(gx=p["gx"], gy=p["gy"], times_s=times)
     rows, estimates = [], {}
-    for m in sorted(p["ms"]):
-        pair = distributed_pair(_chain_spec(p, m=m), _noise(p), **_scan_kwargs(p))
+    for arm in arms:
+        m = arm.m_chain
+        pair = max_entanglement_scan(arm, _noise(p), **_scan_kwargs(p)).pair_state
         series = gradient_coherence(pair, grad, (0.0, 0.0), (d_nm, 0.0))
         gdt = rate * np.asarray(times)
         rows.append(((m,), (gdt, series)))

@@ -1,5 +1,5 @@
-"""Campaign drivers: length/noise sweeps, decay fits, disorder Monte Carlo,
-spin-loss studies, and field-gradient sensing on the distributed pair.
+"""Campaign drivers: decay fits, disorder Monte Carlo, spin-loss studies,
+and field-gradient sensing on the distributed pair.
 
 Every campaign is a pure function of its specification and a single seed;
 per-run randomness derives from stable spawn keys, so results are
@@ -15,8 +15,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .chain import ChainSpec, DisorderSpec, loss_configurations, validate_star_geometry, GeometryError
-from .entangle import EmResult, max_entanglement_scan
+from .chain import ChainSpec, DisorderSpec, loss_configurations
+from .entangle import max_entanglement_scan
 from .lindblad import NoiseSpec
 
 # NV- electron gyromagnetic ratio, rad s^-1 T^-1
@@ -36,41 +36,10 @@ def stable_seed(master: int, purpose: str, *indices: int) -> int:
     return int(np.random.SeedSequence(key).generate_state(1)[0])
 
 
-# -- length sweep ------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LengthPoint:
-    m_chain: int
-    result: EmResult
-
-    @property
-    def e_m(self) -> float:
-        return self.result.e_m
-
-
 def _spec_for_length(m: int, base_spec: ChainSpec | None) -> ChainSpec:
     if base_spec is None:
         return ChainSpec(m_chain=m)
     return replace(base_spec, m_chain=m, lost_sites=frozenset(), disorder=None)
-
-
-def sweep_length(
-    ms, noise: NoiseSpec, n_outer: int = 3,
-    base_spec: ChainSpec | None = None, **scan_kwargs
-) -> list[LengthPoint]:
-    """One transfer scan per chain length, geometry-validated up front.
-
-    `base_spec` carries spacing/coupling settings; its length, losses and
-    disorder are replaced per sweep point.
-    """
-    ms = [int(m) for m in ms]
-    for m in ms:
-        if not validate_star_geometry(n_outer, m):
-            raise GeometryError(
-                f"N={n_outer}, M={m} violates the arm-count bound")
-    return [LengthPoint(m, max_entanglement_scan(_spec_for_length(m, base_spec), noise,
-                                                 **scan_kwargs))
-            for m in ms]
 
 
 # -- exponential decay fit ---------------------------------------------------
@@ -122,10 +91,13 @@ def fit_exponential(points) -> FitResult:
         resid = _fit_linear_given_b(b, ms, inv, logs)[1]
         return float(resid @ resid)
 
+    # dx/db = x log(1/T2), whose limit is 0 where 1/T2 = 0 (x = 0 there)
+    log_inv = np.log(inv, out=np.zeros_like(inv), where=inv > 0)
+
     def dsse(b):
         # envelope theorem: only x moves with b at the linear optimum
         coef, resid, x = _fit_linear_given_b(b, ms, inv, logs)
-        return 2.0 * coef[1] * float(resid @ (np.log(inv) * x))
+        return 2.0 * coef[1] * float(resid @ (log_inv * x))
 
     grid = np.geomspace(1e-3, 50.0, 97)
     i = int(np.argmin([sse(b) for b in grid]))
@@ -206,10 +178,10 @@ def loss_study(
 ) -> LossReport:
     """Scan every admissible loss configuration of the given size.
 
-    `base_spec` carries spacing/coupling settings, as in :func:`sweep_length`.
+    `base_spec` carries spacing/coupling settings; its length, losses and
+    disorder are replaced.
     """
     configs = loss_configurations(m_chain, n_lost)
-    configs = sorted(configs, key=sorted)
     base = _spec_for_length(m_chain, base_spec)
     results = [max_entanglement_scan(replace(base, lost_sites=cfg), noise, **scan_kwargs)
                for cfg in configs]
@@ -344,8 +316,3 @@ def estimate_gradient_xy(
     sy = gradient_coherence(pair, grad, (0.0, 0.0), (0.0, d))
     return (_sinusoid_gradient(grad.times_s, sx, d),
             _sinusoid_gradient(grad.times_s, sy, d))
-
-
-def distributed_pair(spec: ChainSpec, noise: NoiseSpec, **scan_kwargs) -> np.ndarray:
-    """Register pair state at the optimal transfer time of a chain arm."""
-    return max_entanglement_scan(spec, noise, **scan_kwargs).pair_state

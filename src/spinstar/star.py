@@ -16,6 +16,8 @@ from math import comb, sqrt
 
 import numpy as np
 
+DICKE_MAX_SPINS = 23   # wstate at N = 23 takes 1.3 GB and 13 s; each 2 spins more, 4x
+
 
 @dataclass(frozen=True)
 class StarSpec:
@@ -33,6 +35,8 @@ class StarSpec:
 
 def dicke_state(n: int, k: int) -> np.ndarray:
     """Equal superposition of all n-bit basis states with k excitations."""
+    if n > DICKE_MAX_SPINS:
+        raise ValueError(f"Dicke state on {n} spins: at most {DICKE_MAX_SPINS} are allowed")
     if not 0 <= k <= n:
         raise ValueError(f"excitation count {k} out of range 0..{n}")
     amp = 1.0 / sqrt(comb(n, k))

@@ -40,7 +40,6 @@ from spinstar.experiments import (
     GAMMA_NV,
     GradientSpec,
     disorder_monte_carlo,
-    distributed_pair,
     estimate_gradient_xy,
     fit_exponential,
     gradient_coherence,
@@ -269,7 +268,7 @@ def test_a09_gradient_sensing(em_by_length):
     rel = max(abs(g_hat - g) / g for g_hat in estimate_gradient_xy(ideal_bell_pair(), grad))
     amp = {}
     for m in (3, 7):
-        pair = distributed_pair(ChainSpec(m_chain=m), NOISE)
+        pair = max_entanglement_scan(ChainSpec(m_chain=m), NOISE).pair_state
         s = gradient_coherence(pair, grad, (0, 0), (d, 0))
         amp[m] = s.max() - s.min()
     ok = cos_dev < 1e-10 and rel < 1e-6 and amp[7] < amp[3]

@@ -24,7 +24,7 @@ from spinstar.cli import (
 from spinstar.entangle import eof, max_entanglement_scan, register_pair_state
 from spinstar.experiments import stable_seed
 from spinstar.lindblad import IntegrationError, NoiseSpec, SectorPropagator, evolve_chain
-from spinstar.star import StarSpec, star_spectrum_analytic
+from spinstar.star import DICKE_MAX_SPINS, StarSpec, dicke_state, star_spectrum_analytic
 
 FAST = ["--samples", "301"]
 
@@ -151,6 +151,19 @@ def test_wstate_report(tmp_path):
     assert doc["1"]["excitations"] == 1
 
 
+def test_wstate_past_the_dicke_bound_exits_2(tmp_path, capsys):
+    # a Dicke state holds 2^N amplitudes: past DICKE_MAX_SPINS the command is
+    # refused before anything is allocated, with one error line and no file
+    assert DICKE_MAX_SPINS == 23
+    with pytest.raises(ValueError, match="at most 23"):
+        dicke_state(24, 1)
+    assert run_cli(tmp_path, "wstate", "--n", "25") == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["spinstar-error code=2 kind=config msg=Dicke state on 25 spins: "
+                   "at most 23 are allowed"]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_violating_arm_bound_exits_3(tmp_path, capsys):
     code = run_cli(tmp_path, "sweep", "--ms", "3", "--n", "38", *FAST)
     assert code == EXIT_PHYSICS
@@ -223,6 +236,7 @@ def test_configuration_errors_exit_2_before_scanning(tmp_path, capsys, monkeypat
         raise AssertionError("scanned a rejected configuration")
 
     monkeypatch.setattr("spinstar.experiments.max_entanglement_scan", no_scan)
+    monkeypatch.setattr("spinstar.cli.max_entanglement_scan", no_scan)
     monkeypatch.setattr("spinstar.cli.sector_series", no_scan)
     assert run_cli(tmp_path, *argv, *FAST) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("spinstar-error code=2 kind=config")
@@ -321,7 +335,7 @@ def test_gradient_rejects_bad_field_and_separation_before_scanning(
     def no_scan(*args, **kwargs):
         raise AssertionError("scanned a rejected configuration")
 
-    monkeypatch.setattr("spinstar.cli.distributed_pair", no_scan)
+    monkeypatch.setattr("spinstar.cli.max_entanglement_scan", no_scan)
     assert run_cli(tmp_path, "gradient", "--ms", "3", *flags) == EXIT_CONFIG
     err = capsys.readouterr().err
     if flags[0] == "--d-nm":
@@ -673,12 +687,41 @@ def test_campaign_failing_in_its_second_scan_writes_no_file(tmp_path, capsys, mo
             raise IntegrationError("injected failure in the second scan")
         return scan(*args, **kwargs)
 
+    monkeypatch.setattr(cli, "max_entanglement_scan", second_fails)
     monkeypatch.setattr(experiments, "max_entanglement_scan", second_fails)
     assert run_cli(tmp_path, command, *CAMPAIGNS[command], "--samples", "101") == EXIT_NUMERIC
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("spinstar-error code=4 kind=numeric")
     assert len(calls) == 2
     assert list(tmp_path.iterdir()) == []
+
+
+# each command with the scans it runs: one per arm, disorder run or loss
+# configuration (M = 4 loses one of 4 sites or one of 3 non-adjacent pairs,
+# M = 1 one site and no pair)
+SCAN_COUNTS = [
+    (["scan", "--m", "5"], 1),
+    (["sweep", "--ms", "5,3,3"], 3),
+    (["fit", "--ms", "3,4,5", "--t2s-ms", "0.5,1,2"], 9),
+    (["disorder", "--ms", "4,3", "--runs", "3"], 6),
+    (["loss", "--ms", "4,1"], 8),
+    (["gradient", "--ms", "5,3"], 2),
+]
+
+
+@pytest.mark.parametrize("argv, scans", SCAN_COUNTS, ids=[a[0] for a, _ in SCAN_COUNTS])
+def test_every_scan_goes_through_the_counted_names(tmp_path, monkeypatch, argv, scans):
+    # the benchmark counts scans by wrapping these two names, so each scan a
+    # command runs must be looked up through one of them
+    calls = []
+    for module in (cli, experiments):
+        def counted(*args, _scan=getattr(module, "max_entanglement_scan"), **kwargs):
+            calls.append(args)
+            return _scan(*args, **kwargs)
+
+        monkeypatch.setattr(module, "max_entanglement_scan", counted)
+    assert run_cli(tmp_path, *argv, "--samples", "101") == EXIT_OK
+    assert len(calls) == scans
 
 
 @pytest.mark.parametrize("where", ["file", "under-file", "name-taken"])
@@ -843,3 +886,34 @@ def test_short_arms_and_non_scanning_commands_load_no_scipy(tmp_path):
                          capture_output=True, text=True, check=True, timeout=120)
     lines = [line for line in out.stdout.splitlines() if line.startswith("loaded:")]
     assert lines == ["loaded: [0, 0, 0, 0, 0, 0, 0, 0] []", "loaded: 0 True"]
+
+
+def test_results_do_not_depend_on_the_blas_thread_variables(tmp_path):
+    # importing spinstar pins one BLAS thread unless a variable is set, so
+    # fresh runs with the variables unset write the bytes of runs with them at 1
+    import os
+    import subprocess
+    import sys
+
+    import spinstar
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spinstar.__file__)))
+    blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    outputs = {}
+    for setting in ("unset", "1"):
+        env = {k: v for k, v in os.environ.items() if k not in blas}
+        if setting == "1":
+            env.update(dict.fromkeys(blas, "1"))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        for argv in (["scan", "--m", "11"], ["gradient", "--ms", "3,7,11"]):
+            outdir = tmp_path / setting / argv[0]
+            subprocess.run([sys.executable, "-m", "spinstar.cli", *argv, "--outdir",
+                            str(outdir)], env=env, capture_output=True, check=True,
+                           timeout=120)
+            manifest = json.loads((outdir / "manifest.json").read_text())
+            del manifest["wall_time_s"]
+            outputs[setting, argv[0]] = (manifest, {
+                path.name: path.read_bytes() for path in sorted(outdir.iterdir())
+                if path.name != "manifest.json"})
+    for command in ("scan", "gradient"):
+        assert outputs["unset", command] == outputs["1", command], command

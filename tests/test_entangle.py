@@ -21,7 +21,6 @@ from spinstar.entangle import (
     max_entanglement_scan,
     register_pair_state,
 )
-from spinstar.experiments import distributed_pair
 from spinstar.lindblad import (
     IntegrationError,
     NoiseSpec,
@@ -344,7 +343,7 @@ def test_sector_propagator_matches_full_space_at_tau_star(m):
     full = evolve_chain(spec, noise, t_end=tau, n_samples=2,
                         rtol=1e-10, atol=1e-14).states[-1]
     assert np.abs(state.to_full() - full).max() < 1e-8
-    pair = distributed_pair(spec, noise, n_samples=201)
+    pair = max_entanglement_scan(spec, noise, n_samples=201).pair_state
     assert np.abs(pair - partial_trace(full, (0, spec.n_sites - 1))).max() < 1e-8
 
 

@@ -1,10 +1,11 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 
-from spinstar.chain import ChainSpec, GeometryError
+from spinstar.chain import ChainSpec
 from spinstar.entangle import max_entanglement_scan
 from spinstar.experiments import (
     GAMMA_NV,
@@ -12,13 +13,11 @@ from spinstar.experiments import (
     GradientSpec,
     _sinusoid_gradient,
     disorder_monte_carlo,
-    distributed_pair,
     estimate_gradient_xy,
     fit_exponential,
     gradient_coherence,
     loss_study,
     stable_seed,
-    sweep_length,
 )
 from spinstar.lindblad import NoiseSpec
 
@@ -56,22 +55,18 @@ def test_stable_seed_is_deterministic_and_spread():
     assert a != stable_seed(1, "disorder", 3, 0)
 
 
-def test_sweep_single_length_matches_direct_scan():
+def test_sweep_single_length_matches_direct_scan(tmp_path):
+    from spinstar.cli import main
+
     direct = max_entanglement_scan(ChainSpec(m_chain=3), NOISE, **FAST)
-    [point] = sweep_length([3], NOISE, **FAST)
-    assert point.m_chain == 3
-    assert point.e_m == direct.e_m
-    assert point.result.tau_star_kt == direct.tau_star_kt
-
-
-def test_sweep_rejects_inadmissible_arm_count():
-    with pytest.raises(GeometryError):
-        sweep_length([3], NOISE, n_outer=38, **FAST)
+    assert main(["sweep", "--ms", "3", "--samples", "401", "--outdir", str(tmp_path)]) == 0
+    rows = (tmp_path / "fig4b.csv").read_text().splitlines()
+    assert rows[1] == f"3,{direct.tau_star_kt:.12g},{direct.tau_star_s:.12g},{direct.e_m:.12g}"
 
 
 def test_sweep_noiseless_dominates():
-    clean = sweep_length([5], NoiseSpec(t2_s=math.inf), **FAST)[0]
-    noisy = sweep_length([5], NOISE, **FAST)[0]
+    clean = max_entanglement_scan(ChainSpec(m_chain=5), NoiseSpec(t2_s=math.inf), **FAST)
+    noisy = max_entanglement_scan(ChainSpec(m_chain=5), NOISE, **FAST)
     assert clean.e_m > noisy.e_m
 
 
@@ -101,6 +96,21 @@ def test_fit_widens_pinned_bounds():
         pts = [(m, t2, math.exp(-a * (1 / t2) ** b * m))
                for m in (3, 5, 7, 9) for t2 in (0.25e-3, 0.5e-3, 1e-3, 2e-3)]
         assert abs(fit_exponential(pts).b - b) < 1e-3
+
+
+def test_fit_refines_the_exponent_with_a_noiseless_column():
+    # at 1/T2 = 0 the slope x log(1/T2) of dSSE/db takes its limit 0, so the
+    # exponent is refined as with a huge finite T2 and stays off the 97-point grid
+    scans = {(m, t2): max_entanglement_scan(ChainSpec(m_chain=m), NoiseSpec(t2_s=t2),
+                                            n_samples=101).e_m
+             for m in (3, 5, 7) for t2 in (math.inf, 1e-3, 2e-3)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        fit = fit_exponential([(m, t2, em) for (m, t2), em in scans.items()])
+    huge = fit_exponential([(m, 1e297 if t2 == math.inf else t2, em)
+                            for (m, t2), em in scans.items()])
+    assert abs(fit.b - huge.b) < 1e-9
+    assert fit.b not in np.geomspace(1e-3, 50.0, 97)
 
 
 def test_fit_exponent_is_stable_under_rounding_of_e_m():
@@ -376,8 +386,8 @@ def test_cli_grid_readout_verdicts(gy, pair, message):
 
 
 def test_distributed_pair_coherence_shrinks_with_length():
-    pair3 = distributed_pair(ChainSpec(m_chain=3), NOISE, **FAST)
-    pair7 = distributed_pair(ChainSpec(m_chain=7), NOISE, **FAST)
+    pair3 = max_entanglement_scan(ChainSpec(m_chain=3), NOISE, **FAST).pair_state
+    pair7 = max_entanglement_scan(ChainSpec(m_chain=7), NOISE, **FAST).pair_state
     amp3 = 2 * abs(pair3[1, 2])
     amp7 = 2 * abs(pair7[1, 2])
     assert amp7 < amp3
